@@ -63,7 +63,6 @@ pub use error::{ChainError, ContractError, LedgerError};
 pub use events::{CallDesc, ChainEvent, EventKind, NoteText, TraceMode};
 pub use gas::{GasMeter, GasSchedule};
 pub use ids::{AssetId, ChainId, ContractAddr, ContractId, Label, PartyId};
-#[cfg(any(test, feature = "map-ledger-oracle"))]
 pub use ledger::oracle::MapLedger;
 pub use ledger::{AccountRef, Ledger};
 pub use sim::{

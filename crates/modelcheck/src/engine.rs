@@ -29,10 +29,10 @@
 //! bit-identical world state, checkpointed scripts fork from recorded
 //! positions, and every cache entry memoises a pure function, so a
 //! scenario's violations are identical whether its prefix was shared or
-//! replayed, whatever worker ran it, in whatever order. This is pinned by
-//! the `replay-oracle` differential tests, which diff whole summaries (and
-//! reports) between the deviation-tree and brute-force paths across thread
-//! counts.
+//! replayed, whatever worker ran it, in whatever order. The `replay_oracle`
+//! tests pin the first half by diffing every family's reports against
+//! from-scratch replays; the `parallel` tests pin the second by diffing
+//! whole summaries across thread counts and chunk sizes.
 //!
 //! Scratch worlds default to [`TraceMode::Off`] — sweeps judge reports and
 //! payoffs, never rendered traces — which skips event construction

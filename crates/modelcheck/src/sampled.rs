@@ -39,22 +39,21 @@ use std::fmt::Write as _;
 
 use chainsim::{ChainId, PartyId, ReorgEvent, ReorgPolicy, World};
 use marketsim::rational::best_response;
-use protocols::auction::{self, run_auction_in, run_auction_shared, AuctionConfig, AUCTIONEER};
-use protocols::bootstrap::{run_bootstrap_in, run_bootstrap_shared, BootstrapDeviation};
+use protocols::auction::{self, run_auction_shared, AuctionConfig, AUCTIONEER};
+use protocols::bootstrap::{run_bootstrap_shared, BootstrapDeviation};
 use protocols::deal::{self, run_deal_in, run_deal_shared, DealConfig};
 use protocols::outcome::Payoffs;
 use protocols::script::{DelayVector, Fault, Strategy, Timing, MAX_DELAY_STEPS};
 use protocols::two_party::{
-    self, run_base_swap_in, run_hedged_swap_in, run_swap_shared, run_swap_with_realism_in,
-    swap_max_rounds, SwapProtocol, SwapRealism, TwoPartyConfig, TwoPartyReport, ALICE, BOB,
+    self, run_swap_in, run_swap_shared, swap_max_rounds, SwapProtocol, SwapRealism, TwoPartyConfig,
+    TwoPartyReport, ALICE, BOB,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::{FamilyScratch, ScenarioGen};
 use crate::scenarios::{
-    judge_auction, judge_bootstrap, judge_deal, judge_two_party, oracle_or, AuctionPrefixSlots,
-    BEHAVIOURS,
+    judge_auction, judge_bootstrap, judge_deal, judge_two_party, AuctionPrefixSlots, BEHAVIOURS,
 };
 use crate::Violation;
 
@@ -267,7 +266,6 @@ pub struct SampledSweep {
     target: SampledTarget,
     seed: u64,
     samples: usize,
-    replay: bool,
 }
 
 impl SampledSweep {
@@ -283,7 +281,6 @@ impl SampledSweep {
             },
             seed,
             samples,
-            replay: false,
         }
     }
 
@@ -302,12 +299,7 @@ impl SampledSweep {
     /// round, so the shared-prefix resumption the other two-party families
     /// use is not sound here: every sample replays in full.
     pub fn hedged_two_party_reorgs(config: TwoPartyConfig, seed: u64, samples: usize) -> Self {
-        SampledSweep {
-            target: SampledTarget::TwoPartyReorg { config },
-            seed,
-            samples,
-            replay: false,
-        }
+        SampledSweep { target: SampledTarget::TwoPartyReorg { config }, seed, samples }
     }
 
     /// Samples the *base* (unhedged) swap over conforming timing profiles
@@ -331,26 +323,20 @@ impl SampledSweep {
             },
             seed,
             samples,
-            replay: false,
         }
     }
 
     /// Samples a deal-engine configuration (multi-party swap or brokered
     /// sale) with up to two simultaneous deviators.
     pub fn deal(name: impl Into<String>, config: DealConfig, seed: u64, samples: usize) -> Self {
-        SampledSweep {
-            target: SampledTarget::Deal { name: name.into(), config },
-            seed,
-            samples,
-            replay: false,
-        }
+        SampledSweep { target: SampledTarget::Deal { name: name.into(), config }, seed, samples }
     }
 
     /// Samples the auction (§9): a uniform auctioneer behaviour plus one
     /// deviating party per sample (the enumerated sweep's budget, extended
     /// to the delay/outage axes).
     pub fn auction(config: AuctionConfig, seed: u64, samples: usize) -> Self {
-        SampledSweep { target: SampledTarget::Auction { config }, seed, samples, replay: false }
+        SampledSweep { target: SampledTarget::Auction { config }, seed, samples }
     }
 
     /// The family seed samples are derived from.
@@ -361,15 +347,6 @@ impl SampledSweep {
     /// The number of samples this family draws.
     pub fn samples(&self) -> usize {
         self.samples
-    }
-
-    /// Switches this family to the brute-force path (fresh full run per
-    /// sample instead of resuming from the shared compliant prefix); the
-    /// differential tests diff the two paths' summaries.
-    #[cfg(feature = "replay-oracle")]
-    pub fn replay_oracle(mut self) -> Self {
-        self.replay = true;
-        self
     }
 
     /// Re-derives sample `index`'s scenario from the family seed — the
@@ -517,6 +494,7 @@ impl SampledSweep {
             SampledTarget::TwoParty { config, protocol, .. } => {
                 let steps = script_steps(*protocol);
                 let compliant_party = if deviator == ALICE { BOB } else { ALICE };
+                let no_realism = SwapRealism::default();
                 let evaluate = |strategy: &Strategy| -> (i128, i128) {
                     let mut world = World::new(1);
                     let (alice, bob) = if deviator == ALICE {
@@ -524,10 +502,8 @@ impl SampledSweep {
                     } else {
                         (Strategy::compliant(), *strategy)
                     };
-                    let report = match protocol {
-                        SwapProtocol::Hedged => run_hedged_swap_in(&mut world, config, alice, bob),
-                        SwapProtocol::Base => run_base_swap_in(&mut world, config, alice, bob),
-                    };
+                    let report =
+                        run_swap_in(&mut world, config, *protocol, alice, bob, &no_realism);
                     (
                         party_total(&report.payoffs, deviator),
                         two_party_margin(&report, config, compliant_party),
@@ -655,9 +631,9 @@ impl SampledSweep {
         self.samples as f64 / self.sampled_space()
     }
 
-    /// Runs `scenario` through the shared-prefix entry points (or the
-    /// brute-force oracle in replay mode) and judges the report with the
-    /// enumerated tier's judges.
+    /// Runs `scenario` through the shared-prefix entry points (reorg
+    /// scenarios in full) and judges the report with the enumerated tier's
+    /// judges.
     fn judge_in(
         &self,
         scenario: &SampledScenario,
@@ -671,24 +647,8 @@ impl SampledSweep {
                 SampledScenario::TwoParty { alice, bob },
             ) => {
                 let (alice, bob) = (*alice, *bob);
-                let report = oracle_or(
-                    self.replay,
-                    (scratch, cache),
-                    |(scratch, _)| match protocol {
-                        SwapProtocol::Hedged => run_hedged_swap_in(scratch, config, alice, bob),
-                        SwapProtocol::Base => run_base_swap_in(scratch, config, alice, bob),
-                    },
-                    |(scratch, cache)| {
-                        run_swap_shared(
-                            scratch,
-                            config,
-                            *protocol,
-                            alice,
-                            bob,
-                            cache.get_or_default(),
-                        )
-                    },
-                );
+                let report =
+                    run_swap_shared(scratch, config, *protocol, alice, bob, cache.get_or_default());
                 judge_two_party(&report, alice, bob, label)
             }
             (
@@ -697,26 +657,13 @@ impl SampledSweep {
             ) => {
                 // No shared-prefix fast path: reorgs rewind speculative
                 // rounds from round one, so the full run is the only sound
-                // execution (and the replay oracle coincides with it).
-                let report = run_swap_with_realism_in(
-                    scratch,
-                    config,
-                    SwapProtocol::Hedged,
-                    *alice,
-                    *bob,
-                    realism,
-                );
+                // execution.
+                let report =
+                    run_swap_in(scratch, config, SwapProtocol::Hedged, *alice, *bob, realism);
                 judge_two_party(&report, *alice, *bob, label)
             }
             (SampledTarget::Deal { config, .. }, SampledScenario::Deal { profile }) => {
-                let report = oracle_or(
-                    self.replay,
-                    (scratch, cache),
-                    |(scratch, _)| run_deal_in(scratch, config, profile),
-                    |(scratch, cache)| {
-                        run_deal_shared(scratch, config, profile, cache.get_or_default())
-                    },
-                );
+                let report = run_deal_shared(scratch, config, profile, cache.get_or_default());
                 judge_deal(&report, profile, label)
             }
             (
@@ -725,20 +672,9 @@ impl SampledSweep {
             ) => {
                 let config = AuctionConfig { auctioneer: BEHAVIOURS[*behaviour], ..config.clone() };
                 let deviator = profile.keys().next().copied();
-                let report = oracle_or(
-                    self.replay,
-                    (scratch, cache),
-                    |(scratch, _)| run_auction_in(scratch, &config, profile),
-                    |(scratch, cache)| {
-                        let slots = cache.get_or_default::<AuctionPrefixSlots>();
-                        run_auction_shared(
-                            scratch,
-                            &config,
-                            profile,
-                            slots.entry(*behaviour).or_default(),
-                        )
-                    },
-                );
+                let slot =
+                    cache.get_or_default::<AuctionPrefixSlots>().entry(*behaviour).or_default();
+                let report = run_auction_shared(scratch, &config, profile, slot);
                 judge_auction(&report, deviator, label)
             }
             _ => unreachable!("scenario kind always matches its originating target"),
@@ -1271,22 +1207,13 @@ pub struct SampledBootstrap {
     rounds: u32,
     seed: u64,
     samples: usize,
-    replay: bool,
 }
 
 impl SampledBootstrap {
     /// Samples the cascade of `a` against `b` at premium ratio `ratio`
     /// with `rounds` premium rounds.
     pub fn new(a: u128, b: u128, ratio: u128, rounds: u32, seed: u64, samples: usize) -> Self {
-        SampledBootstrap { a, b, ratio, rounds, seed, samples, replay: false }
-    }
-
-    /// Switches this family to the brute-force path; see
-    /// [`SampledSweep::replay_oracle`].
-    #[cfg(feature = "replay-oracle")]
-    pub fn replay_oracle(mut self) -> Self {
-        self.replay = true;
-        self
+        SampledBootstrap { a, b, ratio, rounds, seed, samples }
     }
 
     /// Re-derives sample `index`'s deviation from the family seed.
@@ -1330,23 +1257,14 @@ impl ScenarioGen for SampledBootstrap {
     ) -> Vec<Violation> {
         let deviation = self.deviation_at(index);
         let deviator = deviation.party();
-        let report = oracle_or(
-            self.replay,
-            (scratch, cache),
-            |(scratch, _)| {
-                run_bootstrap_in(scratch, self.a, self.b, self.ratio, self.rounds, deviation)
-            },
-            |(scratch, cache)| {
-                run_bootstrap_shared(
-                    scratch,
-                    self.a,
-                    self.b,
-                    self.ratio,
-                    self.rounds,
-                    deviation,
-                    cache.get_or_default(),
-                )
-            },
+        let report = run_bootstrap_shared(
+            scratch,
+            self.a,
+            self.b,
+            self.ratio,
+            self.rounds,
+            deviation,
+            cache.get_or_default(),
         );
         let label = || {
             format!(

@@ -22,40 +22,6 @@ use swapgraph::{Automorphism, Digraph};
 use crate::engine::{FamilyScratch, ScenarioGen};
 use crate::Violation;
 
-use protocols::auction::run_auction_in;
-use protocols::bootstrap::run_bootstrap_in;
-use protocols::deal::run_deal_in;
-use protocols::two_party::{run_base_swap_in, run_hedged_swap_in};
-
-/// Dispatches between the brute-force replay path and the deviation-tree
-/// path, moving the worker context (`&mut` world and cache) into whichever
-/// closure runs. Without the `replay-oracle` feature the oracle closure is
-/// dead (families cannot be switched to replay mode) and the shared path
-/// always runs; the `cfg` lives here once instead of in every family.
-#[cfg(feature = "replay-oracle")]
-pub(crate) fn oracle_or<C, R>(
-    replay: bool,
-    context: C,
-    oracle: impl FnOnce(C) -> R,
-    shared: impl FnOnce(C) -> R,
-) -> R {
-    if replay {
-        oracle(context)
-    } else {
-        shared(context)
-    }
-}
-
-#[cfg(not(feature = "replay-oracle"))]
-pub(crate) fn oracle_or<C, R>(
-    _replay: bool,
-    context: C,
-    _oracle: impl FnOnce(C) -> R,
-    shared: impl FnOnce(C) -> R,
-) -> R {
-    shared(context)
-}
-
 /// The synthetic party id used for violations that concern the run as a
 /// whole (conservation of funds) rather than a specific party.
 pub const WHOLE_RUN: PartyId = PartyId(u32::MAX);
@@ -78,34 +44,19 @@ pub struct TwoPartySweep {
     config: TwoPartyConfig,
     hedged: bool,
     space: Vec<Strategy>,
-    replay: bool,
 }
 
 impl TwoPartySweep {
     /// Sweeps the hedged two-party swap (§5.2).
     pub fn hedged(config: TwoPartyConfig) -> Self {
-        TwoPartySweep { config, hedged: true, space: two_party::strategy_space(), replay: false }
+        TwoPartySweep { config, hedged: true, space: two_party::strategy_space() }
     }
 
     /// Sweeps the base (unhedged) two-party swap (§5.1) over its own
     /// (three-step) strategy space. The sweep is expected to *find*
     /// hedged-property violations: that is the paper's motivating attack.
     pub fn base(config: TwoPartyConfig) -> Self {
-        TwoPartySweep {
-            config,
-            hedged: false,
-            space: two_party::base_strategy_space(),
-            replay: false,
-        }
-    }
-
-    /// Switches this family to the brute-force path: every scenario
-    /// replays its full run instead of resuming from the shared compliant
-    /// prefix. Differential tests diff the two paths' summaries.
-    #[cfg(feature = "replay-oracle")]
-    pub fn replay_oracle(mut self) -> Self {
-        self.replay = true;
-        self
+        TwoPartySweep { config, hedged: false, space: two_party::base_strategy_space() }
     }
 }
 
@@ -127,21 +78,8 @@ impl ScenarioGen for TwoPartySweep {
         let alice = self.space[index / self.space.len()];
         let bob = self.space[index % self.space.len()];
         let protocol = if self.hedged { SwapProtocol::Hedged } else { SwapProtocol::Base };
-        let report = oracle_or(
-            self.replay,
-            (scratch, cache),
-            |(scratch, _)| {
-                if self.hedged {
-                    run_hedged_swap_in(scratch, &self.config, alice, bob)
-                } else {
-                    run_base_swap_in(scratch, &self.config, alice, bob)
-                }
-            },
-            |(scratch, cache)| {
-                let slot = cache.get_or_default::<Option<TwoPartyPrefix>>();
-                run_swap_shared(scratch, &self.config, protocol, alice, bob, slot)
-            },
-        );
+        let slot = cache.get_or_default::<Option<TwoPartyPrefix>>();
+        let report = run_swap_shared(scratch, &self.config, protocol, alice, bob, slot);
         // Scenario labels are only rendered for violating runs, so the
         // (overwhelmingly common) clean scenario allocates nothing here.
         let scenario = || format!("{}, alice={alice}, bob={bob}", self.family());
@@ -228,8 +166,8 @@ fn apply_automorphism(
 /// direction, so no escrow's fate depends on more than one of them. Such a
 /// profile's outcome per compliant party is already witnessed by the
 /// single-deviator sub-profiles (each arc sees exactly the same deviation
-/// schedule), so partial-order reduction skips it. The `reduction-oracle`
-/// tests replay pruned profiles brute-force to validate the criterion.
+/// schedule), so partial-order reduction skips it. The `reduction_oracle`
+/// tests run pruned profiles one by one to validate the criterion.
 fn commuting_deviations(digraph: &Digraph, profile: &BTreeMap<PartyId, Strategy>) -> bool {
     if profile.len() < 2 {
         return false;
@@ -267,7 +205,6 @@ pub struct DealSweep {
     /// Canonical representative profile → scenario index, for mapping
     /// arbitrary profiles onto their executed representative.
     rep_index: Option<BTreeMap<ProfileKey, usize>>,
-    replay: bool,
 }
 
 impl DealSweep {
@@ -308,7 +245,6 @@ impl DealSweep {
             pruned: 0,
             group: Vec::new(),
             rep_index: None,
-            replay: false,
         }
     }
 
@@ -331,8 +267,8 @@ impl DealSweep {
     ///
     /// The orbit weights plus the pruned tally are asserted to sum exactly
     /// to the unreduced closed form `Σ_{j≤k} C(n,j)·(|space|−1)^j`, and the
-    /// default-on `reduction-oracle` test suite replays folded orbits and
-    /// pruned profiles brute-force on small graphs to pin byte-level parity.
+    /// `reduction_oracle` test suite runs folded orbits and pruned profiles
+    /// one by one on small graphs to pin byte-level parity.
     ///
     /// # Panics
     ///
@@ -482,7 +418,6 @@ impl DealSweep {
             pruned,
             group,
             rep_index: Some(rep_index),
-            replay: false,
         }
     }
 
@@ -504,14 +439,6 @@ impl DealSweep {
     /// The deviation budget of this family.
     pub fn budget(&self) -> DeviationBudget {
         self.budget
-    }
-
-    /// Switches this family to the brute-force path; see
-    /// [`TwoPartySweep::replay_oracle`].
-    #[cfg(feature = "replay-oracle")]
-    pub fn replay_oracle(mut self) -> Self {
-        self.replay = true;
-        self
     }
 
     /// Whether this sweep was built by [`DealSweep::reduced`].
@@ -618,14 +545,7 @@ impl ScenarioGen for DealSweep {
                 &owned_profile
             }
         };
-        let report = oracle_or(
-            self.replay,
-            (scratch, cache),
-            |(scratch, _)| run_deal_in(scratch, &self.config, profile),
-            |(scratch, cache)| {
-                run_deal_shared(scratch, &self.config, profile, cache.get_or_default())
-            },
-        );
+        let report = run_deal_shared(scratch, &self.config, profile, cache.get_or_default());
         // Rendered only for violating runs; clean scenarios allocate nothing.
         let scenario = || format!("{} with profile {profile:?}", self.name);
         judge_deal(&report, profile, &scenario)
@@ -770,14 +690,6 @@ impl BrokerSweep {
         Self::new(config, DeviationBudget::AtMost(max_deviators))
     }
 
-    /// Switches this family to the brute-force path; see
-    /// [`TwoPartySweep::replay_oracle`].
-    #[cfg(feature = "replay-oracle")]
-    pub fn replay_oracle(mut self) -> Self {
-        self.inner = self.inner.replay_oracle();
-        self
-    }
-
     /// Decodes scenario `index` into a (deviators-only) strategy profile.
     pub fn profile(&self, index: usize) -> BTreeMap<PartyId, Strategy> {
         self.inner.profile(index)
@@ -828,22 +740,13 @@ pub struct BootstrapSweep {
     ratio: u128,
     /// Number of premium rounds (levels above the principal swap).
     rounds: u32,
-    replay: bool,
 }
 
 impl BootstrapSweep {
     /// Sweeps the cascade of `a` against `b` with premium ratio `ratio`
     /// and `rounds` premium rounds.
     pub fn new(a: u128, b: u128, ratio: u128, rounds: u32) -> Self {
-        BootstrapSweep { a, b, ratio, rounds, replay: false }
-    }
-
-    /// Switches this family to the brute-force path; see
-    /// [`TwoPartySweep::replay_oracle`].
-    #[cfg(feature = "replay-oracle")]
-    pub fn replay_oracle(mut self) -> Self {
-        self.replay = true;
-        self
+        BootstrapSweep { a, b, ratio, rounds }
     }
 
     /// Arithmetic decode of scenario `index` into its deviation — the same
@@ -885,23 +788,14 @@ impl ScenarioGen for BootstrapSweep {
     ) -> Vec<Violation> {
         let deviation = self.deviation_at(index);
         let deviator = deviation.party();
-        let report = oracle_or(
-            self.replay,
-            (scratch, cache),
-            |(scratch, _)| {
-                run_bootstrap_in(scratch, self.a, self.b, self.ratio, self.rounds, deviation)
-            },
-            |(scratch, cache)| {
-                run_bootstrap_shared(
-                    scratch,
-                    self.a,
-                    self.b,
-                    self.ratio,
-                    self.rounds,
-                    deviation,
-                    cache.get_or_default(),
-                )
-            },
+        let report = run_bootstrap_shared(
+            scratch,
+            self.a,
+            self.b,
+            self.ratio,
+            self.rounds,
+            deviation,
+            cache.get_or_default(),
         );
         let scenario = || format!("{}, deviation {deviation:?}", self.family());
         judge_bootstrap(&report, deviator, &scenario)
@@ -962,7 +856,6 @@ pub struct AuctionSweep {
     /// (everything but the canonical eager compliant strategy —
     /// conforming-but-lazy behaviour included), precomputed.
     deviating: Vec<Strategy>,
-    replay: bool,
 }
 
 impl Default for AuctionSweep {
@@ -992,15 +885,7 @@ impl AuctionSweep {
             .into_iter()
             .filter(|s| *s != Strategy::compliant())
             .collect();
-        AuctionSweep { config, parties, deviating, replay: false }
-    }
-
-    /// Switches this family to the brute-force path; see
-    /// [`TwoPartySweep::replay_oracle`].
-    #[cfg(feature = "replay-oracle")]
-    pub fn replay_oracle(mut self) -> Self {
-        self.replay = true;
-        self
+        AuctionSweep { config, parties, deviating }
     }
 
     /// Scenarios per auctioneer behaviour: all-compliant plus one per
@@ -1038,20 +923,8 @@ impl ScenarioGen for AuctionSweep {
         let config = AuctionConfig { auctioneer: behaviour, ..self.config.clone() };
         let strategies: BTreeMap<PartyId, Strategy> =
             party.map(|p| (p, strategy)).into_iter().collect();
-        let report = oracle_or(
-            self.replay,
-            (scratch, cache),
-            |(scratch, _)| run_auction_in(scratch, &config, &strategies),
-            |(scratch, cache)| {
-                let slots = cache.get_or_default::<AuctionPrefixSlots>();
-                run_auction_shared(
-                    scratch,
-                    &config,
-                    &strategies,
-                    slots.entry(behaviour_index).or_default(),
-                )
-            },
-        );
+        let slot = cache.get_or_default::<AuctionPrefixSlots>().entry(behaviour_index).or_default();
+        let report = run_auction_shared(scratch, &config, &strategies, slot);
         let scenario = || match party {
             Some(party) => format!("auction {behaviour:?}, {party} plays {strategy}"),
             None => format!("auction {behaviour:?}, all compliant"),

@@ -14,7 +14,7 @@ use modelcheck::scenarios::{
 };
 use modelcheck::{check_hedged_multi_party, check_random_digraphs};
 use protocols::broker::{broker_deal_config, BrokerConfig};
-use protocols::multi_party::figure3_config;
+use protocols::multi_party::{cycle_config, figure3_config, random_config};
 use protocols::two_party::TwoPartyConfig;
 
 /// Runs `gen` serially and with several worker/chunk configurations,
@@ -66,12 +66,21 @@ fn deal_and_auction_sweeps_are_thread_invariant() {
     ));
     assert!(broker.holds(), "{:?}", broker.violations);
 
+    for (name, config) in [("cycle-4", cycle_config(4)), ("random-4", random_config(4, 3, 7))] {
+        let summary = assert_thread_invariant(&DealSweep::at_most(name, config, 1));
+        assert!(summary.holds(), "{name}: {:?}", summary.violations);
+    }
+    let cycle2 = assert_thread_invariant(&DealSweep::full("cycle-2-full", cycle_config(2)));
+    assert!(cycle2.holds(), "{:?}", cycle2.violations);
+
     let auction = assert_thread_invariant(&AuctionSweep::default());
     assert!(auction.holds(), "{:?}", auction.violations);
 
-    let bootstrap = assert_thread_invariant(&BootstrapSweep::new(100_000, 100_000, 10, 3));
-    assert!(bootstrap.holds(), "{:?}", bootstrap.violations);
-    assert_eq!(bootstrap.runs, 1 + 6 * 4);
+    for (a, b) in [(100_000, 100_000), (5_000, 20_000)] {
+        let bootstrap = assert_thread_invariant(&BootstrapSweep::new(a, b, 10, 3));
+        assert!(bootstrap.holds(), "{:?}", bootstrap.violations);
+        assert_eq!(bootstrap.runs, 1 + 6 * 4);
+    }
 
     let broker = assert_thread_invariant(&BrokerSweep::at_most(&BrokerConfig::default(), 1));
     assert!(broker.holds(), "{:?}", broker.violations);

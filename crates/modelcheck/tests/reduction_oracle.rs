@@ -3,11 +3,8 @@
 //! skips is replayed brute-force here and compared against the executed
 //! canonical representative (field-for-field per-party outcomes, mapped
 //! through the witnessing automorphism), and POR-pruned profiles must
-//! uphold the §7 properties outright. Mirrors the `replay-oracle` suite's
-//! differential structure; the `reduction-oracle` feature gates it the same
-//! way.
-
-#![cfg(feature = "reduction-oracle")]
+//! uphold the §7 properties outright. Mirrors the `replay_oracle` suite's
+//! differential structure.
 
 use std::collections::BTreeMap;
 

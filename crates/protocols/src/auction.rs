@@ -17,7 +17,9 @@ use contracts::{
 use cryptosim::Secret;
 
 use crate::outcome::{BalanceSnapshot, Payoffs};
-use crate::script::{run_parties, DeviationTree, ScriptedParty, Step, StepOutcome, Strategy};
+use crate::script::{
+    self, Prefix, ResumedRun, ScriptedParty, ScriptedProtocol, Step, StepOutcome, Strategy,
+};
 
 /// The auctioneer's party id.
 pub const AUCTIONEER: PartyId = PartyId(0);
@@ -106,8 +108,10 @@ pub struct AuctionReport {
     pub rounds: usize,
 }
 
-#[derive(Clone)]
-struct AuctionSetup {
+/// What an auction's setup leaves behind: both contracts' addresses, the
+/// two assets and the bidders' secrets.
+#[derive(Debug)]
+pub struct AuctionSetup {
     coin_addr: ContractAddr,
     ticket_addr: ContractAddr,
     coin: AssetId,
@@ -399,10 +403,7 @@ pub fn run_auction(
 /// single round. Static analyzers consume the contracts' state specs and
 /// the scripts' deadline annotations from the result.
 pub fn auction_static_setup(config: &AuctionConfig) -> (World, Vec<ScriptedParty>) {
-    let mut world = World::new(1);
-    let setup = build(&mut world, config);
-    let actors = auction_actors(config, &setup, &|_| Strategy::compliant());
-    (world, actors)
+    script::static_setup(config)
 }
 
 /// Runs the auction inside a caller-provided world (reset first; its
@@ -413,22 +414,29 @@ pub fn run_auction_in(
     config: &AuctionConfig,
     strategies: &BTreeMap<PartyId, Strategy>,
 ) -> AuctionReport {
-    let setup = build(world, config);
-    let parties = auction_parties(config);
-    let before = BalanceSnapshot::capture(world, &parties, &[setup.coin, setup.ticket]);
-    let actors = auction_actors(config, &setup, &|party| {
-        strategies.get(&party).copied().unwrap_or(Strategy::compliant())
-    });
-    let run_report = run_parties(world, actors, auction_max_rounds(config));
-    finish_auction_report(
-        world,
-        config,
-        strategies,
-        &setup,
-        &before,
-        run_report.failures().len(),
-        run_report.rounds(),
-    )
+    script::replay(world, config, &|party| script::strategy_in(strategies, party))
+}
+
+/// The per-worker deviation-tree cache for one auction configuration.
+///
+/// "Compliant" here means every party follows its script to the end; the
+/// auctioneer's *declaration content* (honest, low-bidder, abandon) is part
+/// of the configuration, so each behaviour needs its own cache.
+pub type AuctionPrefix = Prefix<AuctionSetup>;
+
+/// Runs the auction through the deviation tree; reports are byte-identical
+/// to [`run_auction_in`] for every strategy profile.
+///
+/// Keep one cache per configuration, and so per auctioneer behaviour: the
+/// cache does not record which configuration filled it, and resuming
+/// another one from it gives wrong reports.
+pub fn run_auction_shared(
+    world: &mut World,
+    config: &AuctionConfig,
+    strategies: &BTreeMap<PartyId, Strategy>,
+    cache: &mut Option<AuctionPrefix>,
+) -> AuctionReport {
+    script::resume(world, config, &|party| script::strategy_in(strategies, party), cache)
 }
 
 fn auction_parties(config: &AuctionConfig) -> Vec<PartyId> {
@@ -437,142 +445,95 @@ fn auction_parties(config: &AuctionConfig) -> Vec<PartyId> {
     parties
 }
 
-fn auction_max_rounds(config: &AuctionConfig) -> u64 {
-    8 * config.delta_blocks + 4
-}
+impl ScriptedProtocol for AuctionConfig {
+    type Setup = AuctionSetup;
+    type Report = AuctionReport;
 
-fn auction_actors(
-    config: &AuctionConfig,
-    setup: &AuctionSetup,
-    strategy_of: &dyn Fn(PartyId) -> Strategy,
-) -> Vec<ScriptedParty> {
-    let mut actors = vec![ScriptedParty::new(
-        AUCTIONEER,
-        auctioneer_steps(config, setup),
-        strategy_of(AUCTIONEER),
-    )
-    .with_delta(config.delta_blocks)];
-    for bidder in config.bidders() {
-        actors.push(
-            ScriptedParty::new(bidder, bidder_steps(config, setup, bidder), strategy_of(bidder))
-                .with_delta(config.delta_blocks),
-        );
+    fn setup(&self, world: &mut World) -> AuctionSetup {
+        build(world, self)
     }
-    debug_assert!(
-        actors.iter().all(|a| a.total_steps() == SCRIPT_STEPS),
-        "SCRIPT_STEPS must match every auction script so sweeps cover exactly the stop-points"
-    );
-    actors
-}
 
-/// Derives the [`AuctionReport`] from the final world state. Shared by the
-/// from-scratch and deviation-tree paths, which keeps their reports
-/// byte-identical.
-fn finish_auction_report(
-    world: &World,
-    config: &AuctionConfig,
-    strategies: &BTreeMap<PartyId, Strategy>,
-    setup: &AuctionSetup,
-    before: &BalanceSnapshot,
-    failed_actions: usize,
-    rounds: usize,
-) -> AuctionReport {
-    let bidders = config.bidders();
-    let parties = auction_parties(config);
-    let after = BalanceSnapshot::capture(world, &parties, &[setup.coin, setup.ticket]);
-    let payoffs = Payoffs::between(before, &after);
+    fn balances(&self, world: &World, setup: &AuctionSetup) -> BalanceSnapshot {
+        BalanceSnapshot::capture(world, &auction_parties(self), &[setup.coin, setup.ticket])
+    }
 
-    let outcome = coin_contract(world, setup.coin_addr).outcome();
-    let ticket_winner = ticket_contract(world, setup.ticket_addr).winner();
+    fn actors(
+        &self,
+        setup: &AuctionSetup,
+        strategy_of: &dyn Fn(PartyId) -> Strategy,
+    ) -> Vec<ScriptedParty> {
+        let mut actors = vec![ScriptedParty::new(
+            AUCTIONEER,
+            auctioneer_steps(self, setup),
+            strategy_of(AUCTIONEER),
+        )
+        .with_delta(self.delta_blocks)];
+        for bidder in self.bidders() {
+            actors.push(
+                ScriptedParty::new(bidder, bidder_steps(self, setup, bidder), strategy_of(bidder))
+                    .with_delta(self.delta_blocks),
+            );
+        }
+        debug_assert!(
+            actors.iter().all(|a| a.total_steps() == SCRIPT_STEPS),
+            "SCRIPT_STEPS must match every auction script so sweeps cover exactly the stop-points"
+        );
+        actors
+    }
 
-    let mut bidder_coin_payoffs = BTreeMap::new();
-    let mut bidder_ticket_payoffs = BTreeMap::new();
-    let mut no_bid_stolen = true;
-    let mut bidders_compensated = true;
-    for bidder in &bidders {
-        let coin_payoff = payoffs.of(*bidder, setup.coin).value();
-        let ticket_payoff = payoffs.of(*bidder, setup.ticket).value();
-        bidder_coin_payoffs.insert(*bidder, coin_payoff);
-        bidder_ticket_payoffs.insert(*bidder, ticket_payoff);
-        let compliant =
-            strategies.get(bidder).copied().unwrap_or(Strategy::compliant()).is_compliant();
-        let placed_bid = config.bids[(bidder.0 - 1) as usize].is_some();
-        if compliant {
-            let got_tickets = ticket_payoff > 0;
-            if !got_tickets && coin_payoff < 0 {
-                no_bid_stolen = false;
-            }
-            if placed_bid
-                && matches!(outcome, Some(AuctionOutcome::Aborted))
-                && coin_payoff < config.premium.value() as i128
-            {
-                bidders_compensated = false;
+    fn max_rounds(&self) -> u64 {
+        8 * self.delta_blocks + 4
+    }
+
+    fn report(
+        &self,
+        world: &World,
+        setup: &AuctionSetup,
+        before: &BalanceSnapshot,
+        run: &ResumedRun,
+        strategy_of: &dyn Fn(PartyId) -> Strategy,
+    ) -> AuctionReport {
+        let payoffs = Payoffs::between(before, &self.balances(world, setup));
+        let outcome = coin_contract(world, setup.coin_addr).outcome();
+        let ticket_winner = ticket_contract(world, setup.ticket_addr).winner();
+
+        let mut bidder_coin_payoffs = BTreeMap::new();
+        let mut bidder_ticket_payoffs = BTreeMap::new();
+        let mut no_bid_stolen = true;
+        let mut bidders_compensated = true;
+        for bidder in self.bidders() {
+            let coin_payoff = payoffs.of(bidder, setup.coin).value();
+            let ticket_payoff = payoffs.of(bidder, setup.ticket).value();
+            bidder_coin_payoffs.insert(bidder, coin_payoff);
+            bidder_ticket_payoffs.insert(bidder, ticket_payoff);
+            let placed_bid = self.bids[(bidder.0 - 1) as usize].is_some();
+            if strategy_of(bidder).is_compliant() {
+                let got_tickets = ticket_payoff > 0;
+                if !got_tickets && coin_payoff < 0 {
+                    no_bid_stolen = false;
+                }
+                if placed_bid
+                    && matches!(outcome, Some(AuctionOutcome::Aborted))
+                    && coin_payoff < self.premium.value() as i128
+                {
+                    bidders_compensated = false;
+                }
             }
         }
-    }
 
-    AuctionReport {
-        outcome,
-        ticket_winner,
-        bidder_coin_payoffs,
-        bidder_ticket_payoffs,
-        auctioneer_coin_payoff: payoffs.of(AUCTIONEER, setup.coin).value(),
-        no_bid_stolen,
-        bidders_compensated,
-        payoffs,
-        failed_actions,
-        rounds,
+        AuctionReport {
+            outcome,
+            ticket_winner,
+            bidder_coin_payoffs,
+            bidder_ticket_payoffs,
+            auctioneer_coin_payoff: payoffs.of(AUCTIONEER, setup.coin).value(),
+            no_bid_stolen,
+            bidders_compensated,
+            payoffs,
+            failed_actions: run.failed_actions,
+            rounds: run.rounds,
+        }
     }
-}
-
-/// The per-worker deviation-tree cache for one auction configuration (one
-/// per auctioneer behaviour): the recorded compliant-strategy prefix plus
-/// the setup report derivation needs.
-///
-/// "Compliant" here means every party follows its script to the end; the
-/// auctioneer's *declaration content* (honest, low-bidder, abandon) is part
-/// of the configuration, so each behaviour records its own prefix.
-pub struct AuctionPrefix {
-    prefix: DeviationTree,
-    setup: AuctionSetup,
-    before: BalanceSnapshot,
-}
-
-impl std::fmt::Debug for AuctionPrefix {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AuctionPrefix").field("prefix", &self.prefix).finish()
-    }
-}
-
-/// Runs the auction through the deviation tree; reports are byte-identical
-/// to [`run_auction_in`] for every strategy profile.
-pub fn run_auction_shared(
-    world: &mut World,
-    config: &AuctionConfig,
-    strategies: &BTreeMap<PartyId, Strategy>,
-    cache: &mut Option<AuctionPrefix>,
-) -> AuctionReport {
-    if cache.is_none() {
-        let setup = build(world, config);
-        let parties = auction_parties(config);
-        let before = BalanceSnapshot::capture(world, &parties, &[setup.coin, setup.ticket]);
-        let actors = auction_actors(config, &setup, &|_| Strategy::compliant());
-        let prefix = DeviationTree::record(world, actors, auction_max_rounds(config));
-        *cache = Some(AuctionPrefix { prefix, setup, before });
-    }
-    let cached = cache.as_mut().expect("cache populated above");
-    let resumed = cached
-        .prefix
-        .resume(world, &|party| strategies.get(&party).copied().unwrap_or(Strategy::compliant()));
-    finish_auction_report(
-        world,
-        config,
-        strategies,
-        &cached.setup,
-        &cached.before,
-        resumed.failed_actions,
-        resumed.rounds,
-    )
 }
 
 #[cfg(test)]

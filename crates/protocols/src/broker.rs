@@ -154,16 +154,6 @@ pub fn run_brokered_sale(
     run_deal(&broker_deal_config(config), strategies)
 }
 
-/// Runs the hedged brokered sale inside a caller-provided world; see
-/// [`crate::deal::run_deal_in`].
-pub fn run_brokered_sale_in(
-    world: &mut chainsim::World,
-    config: &BrokerConfig,
-    strategies: &BTreeMap<PartyId, Strategy>,
-) -> DealReport {
-    crate::deal::run_deal_in(world, &broker_deal_config(config), strategies)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -126,16 +126,6 @@ pub fn run_multi_party_swap(
     run_deal(config, strategies)
 }
 
-/// Runs a hedged multi-party swap inside a caller-provided world; see
-/// [`crate::deal::run_deal_in`].
-pub fn run_multi_party_swap_in(
-    world: &mut chainsim::World,
-    config: &DealConfig,
-    strategies: &BTreeMap<PartyId, Strategy>,
-) -> DealReport {
-    crate::deal::run_deal_in(world, config, strategies)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -22,9 +22,18 @@
 //! shared prefix from scratch. Because the resumed tail is driven by the
 //! exact same round primitive ([`chainsim::run_round`]) over forked
 //! copies of the exact same party state, the resumed run is bit-for-bit
-//! identical to a from-scratch execution of the profile — pinned by
-//! differential tests against the `replay-oracle` brute-force sweeps in
-//! `modelcheck`.
+//! identical to a from-scratch execution of the profile.
+//!
+//! # One run path per protocol
+//!
+//! A protocol built from scripted parties implements `ScriptedProtocol`:
+//! setup, balance capture, actors, round budget and report derivation.
+//! The two ways to run it differ only in where the world comes from:
+//! `replay` executes the profile from a freshly set-up world (the
+//! reference), and `resume` forks it from the deviation-tree checkpoint
+//! where the profile diverges. Both end in the same report stage, so their
+//! reports are byte-identical — pinned report by report against each other
+//! by `modelcheck`'s `replay_oracle` tests.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -33,6 +42,8 @@ use std::sync::Arc;
 use chainsim::{run_round_with, Action, Actor, PartyId, RoundBuffers, Time, World, WorldSnapshot};
 use contracts::Hashkey;
 use cryptosim::Digest;
+
+use crate::outcome::BalanceSnapshot;
 
 /// The maximum script length a [`DelayVector`] can address. Every bundled
 /// script has at most six steps; the fixed size keeps [`Strategy`] `Copy`.
@@ -295,6 +306,11 @@ impl Strategy {
     pub const fn space_size(total: usize) -> usize {
         2 * total * total + 4 * total + 1
     }
+}
+
+/// `party`'s strategy in a deviators-only profile: absent parties comply.
+pub(crate) fn strategy_in(profile: &BTreeMap<PartyId, Strategy>, party: PartyId) -> Strategy {
+    profile.get(&party).copied().unwrap_or(Strategy::compliant())
 }
 
 impl fmt::Display for Strategy {
@@ -816,22 +832,15 @@ struct PartyRecord {
     done_round: Option<u64>,
 }
 
-/// Totals of a run resumed from a [`DeviationTree`]: prefix rounds and
-/// failures plus the live tail's. Identical to what a from-scratch
-/// [`run_parties`] of the same profile reports.
+/// Totals of a scripted run. A run resumed from a [`DeviationTree`] counts
+/// the prefix's rounds and failures plus the live tail's, which is exactly
+/// what a from-scratch [`run_parties`] of the same profile reports.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResumedRun {
     /// Synchronous rounds executed (prefix + tail).
     pub rounds: usize,
     /// Rejected actions (prefix + tail).
     pub failed_actions: usize,
-    /// The divergence round this resume forked from. Two zero-tail resumes
-    /// with the same key end in bit-identical final states, which protocol
-    /// layers exploit to cache derived outcomes per checkpoint.
-    pub state_key: u64,
-    /// `true` when the resume executed zero tail rounds: the final state
-    /// is exactly the forked checkpoint, a pure function of `state_key`.
-    pub zero_tail: bool,
 }
 
 /// Advances the clock over the pure-wait rounds ahead: if every live actor
@@ -876,11 +885,10 @@ fn pure_wait_rounds(actors: &[ScriptedParty], world: &mut World, budget: u64) ->
 /// [`DeviationTree::resume`] restores the snapshot at that round, forks
 /// every recorded party under its profile strategy, and drives the tail
 /// with the shared round primitive ([`chainsim::run_round`]) — making the
-/// resumed run bit-for-bit identical to a from-scratch execution (pinned by
-/// the `replay-oracle` differential tests in `modelcheck`). Profiles whose
-/// stop-points are never observably hit resume at the terminal checkpoint
-/// and execute zero tail rounds; protocol layers cache their derived
-/// outcomes per checkpoint via [`ResumedRun::state_key`].
+/// resumed run bit-for-bit identical to a from-scratch execution (see
+/// `resume` and `replay`). Profiles whose stop-points are never
+/// observably hit resume at the terminal checkpoint and execute zero tail
+/// rounds.
 pub struct DeviationTree {
     /// Checkpoints keyed by the round whose start they capture; the first
     /// is round 0, the last the terminal state. Rounds inside a compressed
@@ -978,8 +986,7 @@ impl DeviationTree {
     /// The first round at which the profile's trajectory can differ from
     /// the compliant one — the profile's earliest *non-compliant action*,
     /// not merely its first withheld emission — clamped to the terminal
-    /// round, plus whether the resumed run would execute zero tail rounds
-    /// there (see [`ResumedRun::zero_tail`]).
+    /// round.
     ///
     /// Per party, the earliest possible effect of each deviation axis:
     ///
@@ -998,7 +1005,7 @@ impl DeviationTree {
     /// ways the compliant record cannot predict, so they also disable the
     /// all-done shortcut for the profile (conservative: the tail is simply
     /// executed).
-    fn divergence_of(&self, strategy_of: &dyn Fn(PartyId) -> Strategy) -> (u64, bool) {
+    fn divergence_of(&self, strategy_of: &dyn Fn(PartyId) -> Strategy) -> u64 {
         let mut divergence = self.rounds;
         // The deviating run ends once every party is done; deviators are
         // done earlier than their compliant selves, so the run may stop at
@@ -1076,9 +1083,7 @@ impl DeviationTree {
         if every_party_finishes {
             divergence = divergence.min(all_done_from);
         }
-        let zero_tail =
-            (every_party_finishes && divergence == all_done_from) || divergence >= self.max_rounds;
-        (divergence, zero_tail)
+        divergence
     }
 
     /// Resumes the profile described by `strategy_of` from its divergence
@@ -1095,7 +1100,7 @@ impl DeviationTree {
         world: &mut World,
         strategy_of: &dyn Fn(PartyId) -> Strategy,
     ) -> ResumedRun {
-        let (divergence, zero_tail) = self.divergence_of(strategy_of);
+        let divergence = self.divergence_of(strategy_of);
         let (&checkpoint_round, checkpoint) = self
             .checkpoints
             .range(..=divergence)
@@ -1139,13 +1144,127 @@ impl DeviationTree {
         for (stored, ran) in checkpoint.parties.iter_mut().zip(&actors) {
             stored.absorb_hashkey_memos(ran);
         }
-        ResumedRun {
-            rounds: rounds as usize,
-            failed_actions: failures,
-            state_key: divergence,
-            zero_tail,
-        }
+        ResumedRun { rounds: rounds as usize, failed_actions: failures }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Scripted protocols: one run path, two world sources.
+// ---------------------------------------------------------------------------
+
+/// A protocol whose roles are all [`ScriptedParty`] scripts, described one
+/// stage at a time so that [`replay`], [`resume`] and [`static_setup`]
+/// share a single run path.
+pub(crate) trait ScriptedProtocol {
+    /// What setup leaves behind for the scripts and the report: contract
+    /// addresses, asset ids, secrets.
+    type Setup: Send + 'static;
+    /// The report a run produces.
+    type Report;
+
+    /// Resets `world` (its [`chainsim::TraceMode`] is preserved), then
+    /// publishes the protocol's contracts and mints its endowments.
+    fn setup(&self, world: &mut World) -> Self::Setup;
+
+    /// The balances the report's payoffs are computed from; captured once
+    /// right after setup and again at the end of the run.
+    fn balances(&self, world: &World, setup: &Self::Setup) -> BalanceSnapshot;
+
+    /// The scripted parties, in party-id order, under the profile's
+    /// strategies.
+    fn actors(
+        &self,
+        setup: &Self::Setup,
+        strategy_of: &dyn Fn(PartyId) -> Strategy,
+    ) -> Vec<ScriptedParty>;
+
+    /// The round budget a run gets before the scheduler declares it stuck.
+    fn max_rounds(&self) -> u64;
+
+    /// Derives the report from the final world state.
+    fn report(
+        &self,
+        world: &World,
+        setup: &Self::Setup,
+        before: &BalanceSnapshot,
+        run: &ResumedRun,
+        strategy_of: &dyn Fn(PartyId) -> Strategy,
+    ) -> Self::Report;
+}
+
+/// Runs `protocol` under the profile `strategy_of` from scratch inside
+/// `world`: setup, then every round. The reference that [`resume`] must
+/// match byte for byte.
+pub(crate) fn replay<P: ScriptedProtocol>(
+    world: &mut World,
+    protocol: &P,
+    strategy_of: &dyn Fn(PartyId) -> Strategy,
+) -> P::Report {
+    let setup = protocol.setup(world);
+    let before = protocol.balances(world, &setup);
+    let actors = protocol.actors(&setup, strategy_of);
+    let run_report = run_parties(world, actors, protocol.max_rounds());
+    let run =
+        ResumedRun { rounds: run_report.rounds(), failed_actions: run_report.failures().len() };
+    protocol.report(world, &setup, &before, &run, strategy_of)
+}
+
+/// The per-worker deviation-tree cache of one protocol configuration: the
+/// recorded compliant run plus the setup and starting balances the report
+/// needs.
+pub struct Prefix<S> {
+    tree: DeviationTree,
+    setup: S,
+    before: BalanceSnapshot,
+}
+
+impl<S> Prefix<S> {
+    /// The setup the compliant run was recorded from.
+    pub(crate) fn setup(&self) -> &S {
+        &self.setup
+    }
+}
+
+impl<S> fmt::Debug for Prefix<S> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Prefix").field("tree", &self.tree).finish()
+    }
+}
+
+/// Runs `protocol` under the profile `strategy_of` through the deviation
+/// tree: the first call on an empty `cache` records the compliant run, and
+/// every call resumes its profile from the checkpoint where it diverges.
+/// The report is byte-identical to [`replay`]'s.
+///
+/// Keep one cache per configuration: the cache does not know which
+/// configuration recorded it, and resuming a different configuration from
+/// it gives wrong reports.
+pub(crate) fn resume<P: ScriptedProtocol>(
+    world: &mut World,
+    protocol: &P,
+    strategy_of: &dyn Fn(PartyId) -> Strategy,
+    cache: &mut Option<Prefix<P::Setup>>,
+) -> P::Report {
+    let prefix = cache.get_or_insert_with(|| {
+        let setup = protocol.setup(world);
+        let before = protocol.balances(world, &setup);
+        let actors = protocol.actors(&setup, &|_| Strategy::compliant());
+        let tree = DeviationTree::record(world, actors, protocol.max_rounds());
+        Prefix { tree, setup, before }
+    });
+    let run = prefix.tree.resume(world, strategy_of);
+    protocol.report(world, &prefix.setup, &prefix.before, &run, strategy_of)
+}
+
+/// Builds `protocol`'s world (every contract published with its real
+/// deadline parameters) and its compliant scripted parties without
+/// executing a single round. Static analyzers consume the contracts' state
+/// specs and the scripts' deadline annotations from the result.
+pub(crate) fn static_setup<P: ScriptedProtocol>(protocol: &P) -> (World, Vec<ScriptedParty>) {
+    let mut world = World::new(1);
+    let setup = protocol.setup(&mut world);
+    let actors = protocol.actors(&setup, &|_| Strategy::compliant());
+    (world, actors)
 }
 
 #[cfg(test)]

@@ -18,7 +18,9 @@ use cryptosim::Secret;
 use serde::{Deserialize, Serialize};
 
 use crate::outcome::{BalanceSnapshot, Lockup, Payoffs};
-use crate::script::{run_parties, DeviationTree, ScriptedParty, Step, StepOutcome, Strategy};
+use crate::script::{
+    self, Prefix, ResumedRun, ScriptedParty, ScriptedProtocol, Step, StepOutcome, Strategy,
+};
 
 /// Alice's party id in two-party protocols.
 pub const ALICE: PartyId = PartyId(0);
@@ -234,8 +236,11 @@ pub struct TwoPartyReport {
     pub rounds: usize,
 }
 
-#[derive(Clone)]
-struct Setup {
+/// What a two-party swap's setup leaves behind: the four assets payoffs
+/// are computed over, both escrow contracts and the swap secret.
+#[derive(Debug)]
+pub struct SwapSetup {
+    protocol: SwapProtocol,
     apricot_token: AssetId,
     banana_token: AssetId,
     apricot_native: AssetId,
@@ -266,7 +271,7 @@ fn build_world(world: &mut World, config: &TwoPartyConfig) -> (AssetId, AssetId,
     (apricot_token, banana_token, apricot_native, banana_native)
 }
 
-fn hedged_setup(world: &mut World, config: &TwoPartyConfig) -> Setup {
+fn hedged_setup(world: &mut World, config: &TwoPartyConfig) -> SwapSetup {
     let (apricot_token, banana_token, apricot_native, banana_native) = build_world(world, config);
     let apricot = world.chains().next().expect("apricot chain").id();
     let banana = world.chains().nth(1).expect("banana chain").id();
@@ -313,7 +318,8 @@ fn hedged_setup(world: &mut World, config: &TwoPartyConfig) -> Setup {
             redeem_deadline: config.padded(sched.redeem_apricot),
         })),
     );
-    Setup {
+    SwapSetup {
+        protocol: SwapProtocol::Hedged,
         apricot_token,
         banana_token,
         apricot_native,
@@ -324,7 +330,7 @@ fn hedged_setup(world: &mut World, config: &TwoPartyConfig) -> Setup {
     }
 }
 
-fn base_setup(world: &mut World, config: &TwoPartyConfig) -> Setup {
+fn base_setup(world: &mut World, config: &TwoPartyConfig) -> SwapSetup {
     let (apricot_token, banana_token, apricot_native, banana_native) = build_world(world, config);
     let apricot = world.chains().next().expect("apricot chain").id();
     let banana = world.chains().nth(1).expect("banana chain").id();
@@ -361,7 +367,8 @@ fn base_setup(world: &mut World, config: &TwoPartyConfig) -> Setup {
             config.padded(banana_timelock),
         )),
     );
-    Setup {
+    SwapSetup {
+        protocol: SwapProtocol::Base,
         apricot_token,
         banana_token,
         apricot_native,
@@ -399,7 +406,7 @@ fn hedged_resolved(contract: &HedgedEscrow) -> bool {
 }
 
 /// Alice's script for the hedged swap.
-fn hedged_alice_steps(setup: &Setup, config: &TwoPartyConfig) -> Vec<Step> {
+fn hedged_alice_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
     let banana = setup.banana_contract;
     let apricot = setup.apricot_contract;
     let secret = setup.secret.clone();
@@ -454,7 +461,7 @@ fn hedged_alice_steps(setup: &Setup, config: &TwoPartyConfig) -> Vec<Step> {
 }
 
 /// Bob's script for the hedged swap.
-fn hedged_bob_steps(setup: &Setup, config: &TwoPartyConfig) -> Vec<Step> {
+fn hedged_bob_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
     let banana = setup.banana_contract;
     let apricot = setup.apricot_contract;
     let sched = config.hedged_schedule();
@@ -534,7 +541,7 @@ fn settle_step(name: &'static str, contracts: Vec<ContractAddr>, final_deadline:
 }
 
 /// Alice's script for the base (unhedged) swap.
-fn base_alice_steps(setup: &Setup, config: &TwoPartyConfig) -> Vec<Step> {
+fn base_alice_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
     let apricot = setup.apricot_contract;
     let banana = setup.banana_contract;
     let secret = setup.secret.clone();
@@ -579,7 +586,7 @@ fn base_alice_steps(setup: &Setup, config: &TwoPartyConfig) -> Vec<Step> {
 }
 
 /// Bob's script for the base (unhedged) swap.
-fn base_bob_steps(setup: &Setup, config: &TwoPartyConfig) -> Vec<Step> {
+fn base_bob_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
     let apricot = setup.apricot_contract;
     let banana = setup.banana_contract;
     let (banana_timelock, apricot_timelock) = config.base_timelocks();
@@ -675,40 +682,6 @@ fn base_recovery_step(
     })
 }
 
-fn swap_setup(world: &mut World, config: &TwoPartyConfig, protocol: SwapProtocol) -> Setup {
-    match protocol {
-        SwapProtocol::Hedged => hedged_setup(world, config),
-        SwapProtocol::Base => base_setup(world, config),
-    }
-}
-
-fn swap_actors(
-    setup: &Setup,
-    config: &TwoPartyConfig,
-    protocol: SwapProtocol,
-    alice: Strategy,
-    bob: Strategy,
-) -> Vec<ScriptedParty> {
-    let (alice_steps, bob_steps) = match protocol {
-        SwapProtocol::Hedged => {
-            (hedged_alice_steps(setup, config), hedged_bob_steps(setup, config))
-        }
-        SwapProtocol::Base => (base_alice_steps(setup, config), base_bob_steps(setup, config)),
-    };
-    let expected = match protocol {
-        SwapProtocol::Hedged => SCRIPT_STEPS,
-        SwapProtocol::Base => BASE_SCRIPT_STEPS,
-    };
-    debug_assert!(
-        alice_steps.len() == expected && bob_steps.len() == expected,
-        "script constants must match the scripts so sweeps cover exactly the stop-points"
-    );
-    vec![
-        ScriptedParty::new(ALICE, alice_steps, alice).with_delta(config.delta_blocks),
-        ScriptedParty::new(BOB, bob_steps, bob).with_delta(config.delta_blocks),
-    ]
-}
-
 /// Builds the swap's world (contracts published with their real deadline
 /// parameters) and compliant scripted parties without executing a single
 /// round. Static analyzers consume the contracts' state specs and the
@@ -717,11 +690,7 @@ pub fn swap_static_setup(
     config: &TwoPartyConfig,
     protocol: SwapProtocol,
 ) -> (World, Vec<ScriptedParty>) {
-    let mut world = World::new(1);
-    let setup = swap_setup(&mut world, config, protocol);
-    let actors =
-        swap_actors(&setup, config, protocol, Strategy::compliant(), Strategy::compliant());
-    (world, actors)
+    script::static_setup(&Swap { config, protocol, realism: &SwapRealism::default() })
 }
 
 /// The round budget a two-party run gets before the driver declares it
@@ -737,143 +706,178 @@ pub fn swap_max_rounds(config: &TwoPartyConfig) -> u64 {
         + 4
 }
 
-fn swap_assets(setup: &Setup) -> [AssetId; 4] {
-    [setup.apricot_token, setup.banana_token, setup.apricot_native, setup.banana_native]
+/// One two-party swap run: a configuration, a protocol variant and a
+/// chain-realism overlay.
+struct Swap<'a> {
+    config: &'a TwoPartyConfig,
+    protocol: SwapProtocol,
+    realism: &'a SwapRealism,
 }
 
-fn run(
-    world: &mut World,
-    config: &TwoPartyConfig,
-    protocol: SwapProtocol,
-    alice: Strategy,
-    bob: Strategy,
-) -> TwoPartyReport {
-    let setup = swap_setup(world, config, protocol);
-    let before = BalanceSnapshot::capture(world, &[ALICE, BOB], &swap_assets(&setup));
-    let actors = swap_actors(&setup, config, protocol, alice, bob);
-    let run_report = run_parties(world, actors, swap_max_rounds(config));
-    finish_swap_report(
-        world,
-        config,
-        protocol,
-        alice,
-        bob,
-        &setup,
-        &before,
-        run_report.failures().len(),
-        run_report.rounds(),
-    )
-}
+impl ScriptedProtocol for Swap<'_> {
+    type Setup = SwapSetup;
+    type Report = TwoPartyReport;
 
-/// Derives the [`TwoPartyReport`] from the final world state. Shared by the
-/// from-scratch and deviation-tree paths, which keeps their reports
-/// byte-identical.
-#[allow(clippy::too_many_arguments)]
-fn finish_swap_report(
-    world: &World,
-    config: &TwoPartyConfig,
-    protocol: SwapProtocol,
-    alice: Strategy,
-    bob: Strategy,
-    setup: &Setup,
-    before: &BalanceSnapshot,
-    failed_actions: usize,
-    rounds: usize,
-) -> TwoPartyReport {
-    let after = BalanceSnapshot::capture(world, &[ALICE, BOB], &swap_assets(setup));
-    let payoffs = Payoffs::between(before, &after);
+    /// Publishes the protocol's two escrows, then applies the realism
+    /// overlay before the first protocol round.
+    fn setup(&self, world: &mut World) -> SwapSetup {
+        let setup = match self.protocol {
+            SwapProtocol::Hedged => hedged_setup(world, self.config),
+            SwapProtocol::Base => base_setup(world, self.config),
+        };
+        for (chain, depth) in [
+            (setup.apricot_contract.chain, self.realism.apricot_depth),
+            (setup.banana_contract.chain, self.realism.banana_depth),
+        ] {
+            if depth > 0 {
+                world.set_finality(chain, chainsim::FinalityParams { depth, delta: 0 });
+            }
+        }
+        for event in &self.realism.reorgs {
+            world.schedule_reorg(*event);
+        }
+        setup
+    }
 
-    let (alice_lockup, bob_lockup, alice_redeemed, bob_redeemed) = match protocol {
-        SwapProtocol::Hedged => {
-            let apricot = hedged_contract(world, setup.apricot_contract);
-            let banana = hedged_contract(world, setup.banana_contract);
-            (
-                lockup_from_times(
-                    apricot.escrowed_at(),
-                    apricot.principal_settled_at(),
+    fn balances(&self, world: &World, setup: &SwapSetup) -> BalanceSnapshot {
+        let assets =
+            [setup.apricot_token, setup.banana_token, setup.apricot_native, setup.banana_native];
+        BalanceSnapshot::capture(world, &[ALICE, BOB], &assets)
+    }
+
+    fn actors(
+        &self,
+        setup: &SwapSetup,
+        strategy_of: &dyn Fn(PartyId) -> Strategy,
+    ) -> Vec<ScriptedParty> {
+        let config = self.config;
+        let (alice_steps, bob_steps, expected) = match self.protocol {
+            SwapProtocol::Hedged => {
+                (hedged_alice_steps(setup, config), hedged_bob_steps(setup, config), SCRIPT_STEPS)
+            }
+            SwapProtocol::Base => {
+                (base_alice_steps(setup, config), base_bob_steps(setup, config), BASE_SCRIPT_STEPS)
+            }
+        };
+        debug_assert!(
+            alice_steps.len() == expected && bob_steps.len() == expected,
+            "script constants must match the scripts so sweeps cover exactly the stop-points"
+        );
+        vec![
+            ScriptedParty::new(ALICE, alice_steps, strategy_of(ALICE))
+                .with_delta(config.delta_blocks),
+            ScriptedParty::new(BOB, bob_steps, strategy_of(BOB)).with_delta(config.delta_blocks),
+        ]
+    }
+
+    fn max_rounds(&self) -> u64 {
+        swap_max_rounds(self.config)
+    }
+
+    fn report(
+        &self,
+        world: &World,
+        setup: &SwapSetup,
+        before: &BalanceSnapshot,
+        run: &ResumedRun,
+        strategy_of: &dyn Fn(PartyId) -> Strategy,
+    ) -> TwoPartyReport {
+        let (config, protocol) = (self.config, self.protocol);
+        let (alice, bob) = (strategy_of(ALICE), strategy_of(BOB));
+        let payoffs = Payoffs::between(before, &self.balances(world, setup));
+
+        let (alice_lockup, bob_lockup, alice_redeemed, bob_redeemed) = match protocol {
+            SwapProtocol::Hedged => {
+                let apricot = hedged_contract(world, setup.apricot_contract);
+                let banana = hedged_contract(world, setup.banana_contract);
+                (
+                    lockup_from_times(
+                        apricot.escrowed_at(),
+                        apricot.principal_settled_at(),
+                        apricot.principal_state() == HedgedPrincipalState::Redeemed,
+                        world.now(),
+                    ),
+                    lockup_from_times(
+                        banana.escrowed_at(),
+                        banana.principal_settled_at(),
+                        banana.principal_state() == HedgedPrincipalState::Redeemed,
+                        world.now(),
+                    ),
                     apricot.principal_state() == HedgedPrincipalState::Redeemed,
-                    world.now(),
-                ),
-                lockup_from_times(
-                    banana.escrowed_at(),
-                    banana.principal_settled_at(),
                     banana.principal_state() == HedgedPrincipalState::Redeemed,
-                    world.now(),
-                ),
-                apricot.principal_state() == HedgedPrincipalState::Redeemed,
-                banana.principal_state() == HedgedPrincipalState::Redeemed,
-            )
-        }
-        SwapProtocol::Base => {
-            let apricot = htlc_contract(world, setup.apricot_contract);
-            let banana = htlc_contract(world, setup.banana_contract);
-            (
-                lockup_from_times(
-                    apricot.escrowed_at(),
-                    apricot.settled_at(),
+                )
+            }
+            SwapProtocol::Base => {
+                let apricot = htlc_contract(world, setup.apricot_contract);
+                let banana = htlc_contract(world, setup.banana_contract);
+                (
+                    lockup_from_times(
+                        apricot.escrowed_at(),
+                        apricot.settled_at(),
+                        apricot.state() == HtlcState::Redeemed,
+                        world.now(),
+                    ),
+                    lockup_from_times(
+                        banana.escrowed_at(),
+                        banana.settled_at(),
+                        banana.state() == HtlcState::Redeemed,
+                        world.now(),
+                    ),
                     apricot.state() == HtlcState::Redeemed,
-                    world.now(),
-                ),
-                lockup_from_times(
-                    banana.escrowed_at(),
-                    banana.settled_at(),
                     banana.state() == HtlcState::Redeemed,
-                    world.now(),
-                ),
-                apricot.state() == HtlcState::Redeemed,
-                banana.state() == HtlcState::Redeemed,
+                )
+            }
+        };
+
+        let alice_premium_payoff =
+            payoffs.total_over(ALICE, &[setup.apricot_native, setup.banana_native]).value();
+        let bob_premium_payoff =
+            payoffs.total_over(BOB, &[setup.apricot_native, setup.banana_native]).value();
+        let swap_completed = alice_redeemed && bob_redeemed;
+
+        let hedged_for_alice = if alice.is_compliant() {
+            hedged_check(
+                alice_lockup,
+                alice_redeemed,
+                payoffs.of(ALICE, setup.banana_token).value(),
+                config.bob_tokens,
+                alice_premium_payoff,
+                config.premium_b,
             )
-        }
-    };
+        } else {
+            true
+        };
+        let hedged_for_bob = if bob.is_compliant() {
+            hedged_check(
+                bob_lockup,
+                bob_redeemed,
+                payoffs.of(BOB, setup.apricot_token).value(),
+                config.alice_tokens,
+                bob_premium_payoff,
+                config.premium_a,
+            )
+        } else {
+            true
+        };
 
-    let alice_premium_payoff =
-        payoffs.total_over(ALICE, &[setup.apricot_native, setup.banana_native]).value();
-    let bob_premium_payoff =
-        payoffs.total_over(BOB, &[setup.apricot_native, setup.banana_native]).value();
-    let swap_completed = alice_redeemed && bob_redeemed;
-
-    let hedged_for_alice = if alice.is_compliant() {
-        hedged_check(
-            alice_lockup,
-            alice_redeemed,
-            payoffs.of(ALICE, setup.banana_token).value(),
-            config.bob_tokens,
+        TwoPartyReport {
+            protocol,
+            strategies: (alice, bob),
+            swap_completed,
+            alice_apricot_payoff: payoffs.of(ALICE, setup.apricot_token).value(),
+            alice_banana_payoff: payoffs.of(ALICE, setup.banana_token).value(),
+            bob_apricot_payoff: payoffs.of(BOB, setup.apricot_token).value(),
+            bob_banana_payoff: payoffs.of(BOB, setup.banana_token).value(),
             alice_premium_payoff,
-            config.premium_b,
-        )
-    } else {
-        true
-    };
-    let hedged_for_bob = if bob.is_compliant() {
-        hedged_check(
-            bob_lockup,
-            bob_redeemed,
-            payoffs.of(BOB, setup.apricot_token).value(),
-            config.alice_tokens,
             bob_premium_payoff,
-            config.premium_a,
-        )
-    } else {
-        true
-    };
-
-    TwoPartyReport {
-        protocol,
-        strategies: (alice, bob),
-        swap_completed,
-        alice_apricot_payoff: payoffs.of(ALICE, setup.apricot_token).value(),
-        alice_banana_payoff: payoffs.of(ALICE, setup.banana_token).value(),
-        bob_apricot_payoff: payoffs.of(BOB, setup.apricot_token).value(),
-        bob_banana_payoff: payoffs.of(BOB, setup.banana_token).value(),
-        alice_premium_payoff,
-        bob_premium_payoff,
-        alice_lockup,
-        bob_lockup,
-        hedged_for_alice,
-        hedged_for_bob,
-        failed_actions,
-        rounds,
-        payoffs,
+            alice_lockup,
+            bob_lockup,
+            hedged_for_alice,
+            hedged_for_bob,
+            failed_actions: run.failed_actions,
+            rounds: run.rounds,
+            payoffs,
+        }
     }
 }
 
@@ -915,41 +919,20 @@ fn hedged_check(
 
 /// Runs the hedged two-party swap (§5.2) with the given strategies.
 pub fn run_hedged_swap(config: &TwoPartyConfig, alice: Strategy, bob: Strategy) -> TwoPartyReport {
-    run(&mut World::new(1), config, SwapProtocol::Hedged, alice, bob)
+    let no_realism = SwapRealism::default();
+    run_swap_in(&mut World::new(1), config, SwapProtocol::Hedged, alice, bob, &no_realism)
 }
 
 /// Runs the unhedged base swap (§5.1) with the given strategies.
 pub fn run_base_swap(config: &TwoPartyConfig, alice: Strategy, bob: Strategy) -> TwoPartyReport {
-    run(&mut World::new(1), config, SwapProtocol::Base, alice, bob)
-}
-
-/// Runs the hedged two-party swap inside a caller-provided world (reset
-/// first; its [`chainsim::TraceMode`] is preserved). Hot-path variant of
-/// [`run_hedged_swap`] for sweep engines that pool worlds across scenarios.
-pub fn run_hedged_swap_in(
-    world: &mut World,
-    config: &TwoPartyConfig,
-    alice: Strategy,
-    bob: Strategy,
-) -> TwoPartyReport {
-    run(world, config, SwapProtocol::Hedged, alice, bob)
-}
-
-/// Runs the unhedged base swap inside a caller-provided world; see
-/// [`run_hedged_swap_in`].
-pub fn run_base_swap_in(
-    world: &mut World,
-    config: &TwoPartyConfig,
-    alice: Strategy,
-    bob: Strategy,
-) -> TwoPartyReport {
-    run(world, config, SwapProtocol::Base, alice, bob)
+    let no_realism = SwapRealism::default();
+    run_swap_in(&mut World::new(1), config, SwapProtocol::Base, alice, bob, &no_realism)
 }
 
 /// Chain-realism overlay for a two-party run: per-chain finality lag plus a
 /// deterministic reorg schedule, applied to the freshly set-up world before
 /// the first protocol round. The default overlay (zero depths, no reorgs)
-/// reproduces [`run_hedged_swap_in`]/[`run_base_swap_in`] exactly.
+/// changes nothing.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SwapRealism {
     /// Finality lag (revertible trailing rounds) of the apricot chain.
@@ -962,15 +945,17 @@ pub struct SwapRealism {
     pub reorgs: Vec<chainsim::ReorgEvent>,
 }
 
-/// Runs a two-party swap under a [`SwapRealism`] overlay: finality lag on
-/// either chain and scheduled reorgs that rewind speculative rounds and
-/// re-deliver (or drop) the affected calls.
+/// Runs a two-party swap from scratch inside a caller-provided world
+/// (reset first; its [`chainsim::TraceMode`] is preserved) under a
+/// [`SwapRealism`] overlay. Sweep engines pool worlds across scenarios
+/// through this entry point.
 ///
-/// This is the entry point for the reorg fault axis in sampled sweeps: with
-/// [`TwoPartyConfig::finality_margin`] at least `depth − 1`, re-delivering
-/// reorgs are absorbed by the padded contract deadlines; with a zero margin
-/// they can push a compliant party's last-tick call past its deadline.
-pub fn run_swap_with_realism_in(
+/// The overlay is the entry point for the reorg fault axis in sampled
+/// sweeps: with [`TwoPartyConfig::finality_margin`] at least `depth − 1`,
+/// re-delivering reorgs are absorbed by the padded contract deadlines;
+/// with a zero margin they can push a compliant party's last-tick call
+/// past its deadline.
+pub fn run_swap_in(
     world: &mut World,
     config: &TwoPartyConfig,
     protocol: SwapProtocol,
@@ -978,63 +963,22 @@ pub fn run_swap_with_realism_in(
     bob: Strategy,
     realism: &SwapRealism,
 ) -> TwoPartyReport {
-    let setup = swap_setup(world, config, protocol);
-    let apricot = world.chains().next().expect("apricot chain").id();
-    let banana = world.chains().nth(1).expect("banana chain").id();
-    if realism.apricot_depth > 0 {
-        world.set_finality(
-            apricot,
-            chainsim::FinalityParams { depth: realism.apricot_depth, delta: 0 },
-        );
-    }
-    if realism.banana_depth > 0 {
-        world.set_finality(
-            banana,
-            chainsim::FinalityParams { depth: realism.banana_depth, delta: 0 },
-        );
-    }
-    for event in &realism.reorgs {
-        world.schedule_reorg(*event);
-    }
-    let before = BalanceSnapshot::capture(world, &[ALICE, BOB], &swap_assets(&setup));
-    let actors = swap_actors(&setup, config, protocol, alice, bob);
-    let run_report = run_parties(world, actors, swap_max_rounds(config));
-    finish_swap_report(
-        world,
-        config,
-        protocol,
-        alice,
-        bob,
-        &setup,
-        &before,
-        run_report.failures().len(),
-        run_report.rounds(),
-    )
+    let strategy_of = |party| if party == ALICE { alice } else { bob };
+    script::replay(world, &Swap { config, protocol, realism }, &strategy_of)
 }
 
-/// The per-worker deviation-tree cache for one two-party configuration
-/// (one per protocol variant): the recorded compliant prefix plus the
-/// setup report derivation needs.
-pub struct TwoPartyPrefix {
-    protocol: SwapProtocol,
-    prefix: DeviationTree,
-    setup: Setup,
-    before: BalanceSnapshot,
-}
-
-impl std::fmt::Debug for TwoPartyPrefix {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TwoPartyPrefix")
-            .field("protocol", &self.protocol)
-            .field("prefix", &self.prefix)
-            .finish()
-    }
-}
+/// The per-worker deviation-tree cache for one two-party configuration.
+pub type TwoPartyPrefix = Prefix<SwapSetup>;
 
 /// Runs a two-party swap through the deviation tree: the compliant prefix
 /// is executed (and checkpointed) once per worker and every `(alice, bob)`
 /// profile resumes from the snapshot at its divergence round. Reports are
-/// byte-identical to [`run_hedged_swap_in`]/[`run_base_swap_in`].
+/// byte-identical to [`run_swap_in`] with the default [`SwapRealism`].
+///
+/// Keep one cache per configuration: the cache does not record which
+/// configuration filled it, and resuming another one from it gives wrong
+/// reports. A cache recorded for the other protocol variant is the one
+/// exception: it is noticed and re-recorded.
 pub fn run_swap_shared(
     world: &mut World,
     config: &TwoPartyConfig,
@@ -1043,27 +987,12 @@ pub fn run_swap_shared(
     bob: Strategy,
     cache: &mut Option<TwoPartyPrefix>,
 ) -> TwoPartyReport {
-    if cache.as_ref().is_none_or(|c| c.protocol != protocol) {
-        let setup = swap_setup(world, config, protocol);
-        let before = BalanceSnapshot::capture(world, &[ALICE, BOB], &swap_assets(&setup));
-        let actors =
-            swap_actors(&setup, config, protocol, Strategy::compliant(), Strategy::compliant());
-        let prefix = DeviationTree::record(world, actors, swap_max_rounds(config));
-        *cache = Some(TwoPartyPrefix { protocol, prefix, setup, before });
+    if cache.as_ref().is_some_and(|prefix| prefix.setup().protocol != protocol) {
+        *cache = None;
     }
-    let cached = cache.as_mut().expect("cache populated above");
-    let resumed = cached.prefix.resume(world, &|party| if party == ALICE { alice } else { bob });
-    finish_swap_report(
-        world,
-        config,
-        protocol,
-        alice,
-        bob,
-        &cached.setup,
-        &cached.before,
-        resumed.failed_actions,
-        resumed.rounds,
-    )
+    let no_realism = SwapRealism::default();
+    let strategy_of = |party| if party == ALICE { alice } else { bob };
+    script::resume(world, &Swap { config, protocol, realism: &no_realism }, &strategy_of, cache)
 }
 
 #[cfg(test)]
@@ -1229,7 +1158,7 @@ mod tests {
     #[test]
     fn default_realism_reproduces_the_plain_run() {
         let plain = run_hedged_swap(&config(), Strategy::compliant(), Strategy::compliant());
-        let overlay = run_swap_with_realism_in(
+        let overlay = run_swap_in(
             &mut World::new(1),
             &config(),
             SwapProtocol::Hedged,
@@ -1264,14 +1193,8 @@ mod tests {
             (Strategy::compliant().late(), Strategy::compliant()),
             (Strategy::compliant(), Strategy::compliant().late()),
         ] {
-            let report = run_swap_with_realism_in(
-                &mut World::new(1),
-                &cfg,
-                SwapProtocol::Hedged,
-                alice,
-                bob,
-                &realism,
-            );
+            let report =
+                run_swap_in(&mut World::new(1), &cfg, SwapProtocol::Hedged, alice, bob, &realism);
             assert!(report.swap_completed, "reorgs within the margin cannot break the swap");
             assert!(report.hedged_for_alice && report.hedged_for_bob);
             assert!(report.payoffs.conserved());
@@ -1300,7 +1223,7 @@ mod tests {
         };
         let mut violating_rounds = Vec::new();
         for at_round in 1..horizon {
-            let report = run_swap_with_realism_in(
+            let report = run_swap_in(
                 &mut World::new(1),
                 &cfg,
                 SwapProtocol::Hedged,
@@ -1321,7 +1244,7 @@ mod tests {
         // previously violating reorg round now completes, hedged for both.
         let fixed_cfg = TwoPartyConfig { finality_margin: 1, ..cfg };
         for at_round in violating_rounds {
-            let fixed = run_swap_with_realism_in(
+            let fixed = run_swap_in(
                 &mut World::new(1),
                 &fixed_cfg,
                 SwapProtocol::Hedged,

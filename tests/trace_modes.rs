@@ -17,11 +17,12 @@ use sore_loser_hedging::modelcheck::scenarios::{DealSweep, TwoPartySweep};
 use sore_loser_hedging::modelcheck::{check_auction, check_bootstrap, sampled_families};
 use sore_loser_hedging::protocols::auction::{run_auction_in, AuctionConfig, AuctioneerBehaviour};
 use sore_loser_hedging::protocols::bootstrap::{run_bootstrap_in, BootstrapDeviation};
-use sore_loser_hedging::protocols::broker::{run_brokered_sale_in, BrokerConfig};
-use sore_loser_hedging::protocols::multi_party::{figure3_config, run_multi_party_swap_in};
+use sore_loser_hedging::protocols::broker::{broker_deal_config, BrokerConfig};
+use sore_loser_hedging::protocols::deal::run_deal_in;
+use sore_loser_hedging::protocols::multi_party::figure3_config;
 use sore_loser_hedging::protocols::script::Strategy;
 use sore_loser_hedging::protocols::two_party::{
-    run_base_swap_in, run_hedged_swap_in, TwoPartyConfig, SCRIPT_STEPS,
+    run_swap_in, SwapProtocol, SwapRealism, TwoPartyConfig, SCRIPT_STEPS,
 };
 
 /// A world in the given trace mode that has already hosted an unrelated
@@ -49,13 +50,9 @@ fn two_party_swaps_are_identical_across_trace_modes_and_world_reuse() {
     let config = TwoPartyConfig::default();
     for alice in Strategy::all(SCRIPT_STEPS) {
         for bob in Strategy::all(SCRIPT_STEPS) {
-            for hedged in [true, false] {
+            for protocol in [SwapProtocol::Hedged, SwapProtocol::Base] {
                 let mut reports = worlds().into_iter().map(|mut world| {
-                    if hedged {
-                        run_hedged_swap_in(&mut world, &config, alice, bob)
-                    } else {
-                        run_base_swap_in(&mut world, &config, alice, bob)
-                    }
+                    run_swap_in(&mut world, &config, protocol, alice, bob, &SwapRealism::default())
                 });
                 let reference = reports.next().unwrap();
                 for report in reports {
@@ -77,9 +74,8 @@ fn multi_party_swap_is_identical_across_trace_modes_and_world_reuse() {
     for party in config.parties() {
         for stop in 0..5usize {
             let strategies = BTreeMap::from([(party, Strategy::stop_after(stop))]);
-            let mut reports = worlds()
-                .into_iter()
-                .map(|mut world| run_multi_party_swap_in(&mut world, &config, &strategies));
+            let mut reports =
+                worlds().into_iter().map(|mut world| run_deal_in(&mut world, &config, &strategies));
             let reference = reports.next().unwrap();
             for report in reports {
                 assert_eq!(report.payoffs, reference.payoffs, "{party} stops@{stop}");
@@ -93,12 +89,11 @@ fn multi_party_swap_is_identical_across_trace_modes_and_world_reuse() {
 
 #[test]
 fn brokered_sale_is_identical_across_trace_modes_and_world_reuse() {
-    let config = BrokerConfig::default();
+    let config = broker_deal_config(&BrokerConfig::default());
     for party in [PartyId(0), PartyId(1), PartyId(2)] {
         let strategies = BTreeMap::from([(party, Strategy::stop_after(2))]);
-        let mut reports = worlds()
-            .into_iter()
-            .map(|mut world| run_brokered_sale_in(&mut world, &config, &strategies));
+        let mut reports =
+            worlds().into_iter().map(|mut world| run_deal_in(&mut world, &config, &strategies));
         let reference = reports.next().unwrap();
         for report in reports {
             assert_eq!(report.payoffs, reference.payoffs, "{party}");
