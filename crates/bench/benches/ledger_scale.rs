@@ -1,12 +1,13 @@
 //! Experiment C10 — the dense ledger at market scale: 1,000,000 accounts.
 //!
-//! The simulator's ledger keeps balances in dense `Vec` rows indexed by
-//! sequentially-assigned ids; the original `BTreeMap`-backed ledger stays
-//! as the `MapLedger` differential oracle. This bench compares the two at
-//! realistic account cardinality: populate one million party accounts and
-//! measure transfer ops/sec on both implementations. The
-//! transfer mix draws uniform random account pairs from a pinned SplitMix64
-//! stream, so both ledgers replay byte-identical operation sequences.
+//! The simulator's ledger keeps balances in dense asset-major `Vec` columns
+//! indexed by sequentially-assigned account ids; the original
+//! `BTreeMap`-backed ledger stays as the `MapLedger` differential oracle.
+//! This bench compares the two at realistic account cardinality: populate
+//! one million party accounts and measure transfer ops/sec on both
+//! implementations. The transfer mix draws uniform random account pairs
+//! from a pinned SplitMix64 stream, so both ledgers replay byte-identical
+//! operation sequences.
 
 use chainsim::{AccountRef, Amount, AssetId, Ledger, MapLedger, PartyId};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};

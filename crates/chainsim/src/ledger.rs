@@ -1,12 +1,20 @@
 //! The per-chain asset ledger.
 //!
 //! The ledger is the single hottest data structure in the simulator: every
-//! contract call in every model-checking scenario reads and writes it. It is
-//! therefore stored *densely*: account and asset identifiers are assigned
-//! sequentially by [`crate::World`], so balances live in `Vec`s indexed
-//! directly by those small integers instead of in a `BTreeMap` keyed by
-//! `(AccountRef, AssetId)`. The historical map-backed implementation is kept
-//! as [`oracle::MapLedger`] and differential tests assert that both agree on
+//! contract call in every model-checking scenario reads and writes it, and a
+//! market shard holds one with over a hundred thousand accounts. Account and
+//! asset identifiers are assigned sequentially by [`crate::World`], so
+//! balances live in `Vec`s indexed directly by those small integers instead
+//! of in a `BTreeMap` keyed by `(AccountRef, AssetId)`.
+//!
+//! The layout is *asset-major*: one column per asset for party accounts and
+//! one for contract accounts, each column indexed by the account id. A chain
+//! has a few assets and up to millions of accounts, so the ledger is a few
+//! long allocations rather than one small heap row per account; building,
+//! summing and freeing it are linear passes over contiguous memory.
+//!
+//! The historical map-backed implementation is kept as
+//! [`oracle::MapLedger`] and differential tests assert that both agree on
 //! arbitrary operation sequences.
 
 use std::fmt;
@@ -72,11 +80,13 @@ impl From<ContractId> for AccountRef {
 /// calls used to set up initial endowments, transfers never create or
 /// destroy value.
 ///
-/// Balances are stored in dense per-account rows indexed by `AssetId`, with
-/// one row table for party accounts and one for contract accounts (see the
-/// module docs). Rows grow on first touch and [`Ledger::clear`] retains all
-/// allocated capacity, which is what lets a pooled [`crate::World`] run
-/// thousands of scenarios without re-allocating its ledgers.
+/// Balances are stored asset-major: one column per asset for party accounts
+/// and one per asset for contract accounts, each indexed by the account id
+/// (see the module docs). A chain holds only a few assets, so a ledger with
+/// a million accounts is a handful of contiguous allocations. Columns grow
+/// on first touch, and [`Ledger::clear`] retains all allocated capacity,
+/// which is what lets a pooled [`crate::World`] run thousands of scenarios
+/// without re-allocating its ledgers.
 ///
 /// # Examples
 ///
@@ -92,15 +102,59 @@ impl From<ContractId> for AccountRef {
 /// assert_eq!(ledger.balance(bob, coin), Amount::new(4));
 /// # Ok::<(), chainsim::LedgerError>(())
 /// ```
-#[derive(Clone, Default, Debug, Serialize, Deserialize)]
+#[derive(Default, Debug, Serialize, Deserialize)]
 pub struct Ledger {
-    /// `parties[p][a]` is the balance of `Party(p)` in `AssetId(a)`.
+    /// `parties[a][p]` is the balance of `Party(p)` in `AssetId(a)`.
     parties: Vec<Vec<Amount>>,
-    /// `contracts[c][a]` is the balance of `Contract(c)` in `AssetId(a)`.
+    /// `contracts[a][c]` is the balance of `Contract(c)` in `AssetId(a)`.
     contracts: Vec<Vec<Amount>>,
     /// `touched[a]` records that asset `a` has ever had an entry created
     /// (mint or transfer), mirroring key presence in the old map layout.
     touched: Vec<bool>,
+}
+
+/// `Vec::clone_from` reuses the target's columns, so restoring a snapshot
+/// onto a used ledger copies balances without re-allocating.
+impl Clone for Ledger {
+    fn clone(&self) -> Self {
+        Ledger {
+            parties: self.parties.clone(),
+            contracts: self.contracts.clone(),
+            touched: self.touched.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.parties.clone_from(&source.parties);
+        self.contracts.clone_from(&source.contracts);
+        self.touched.clone_from(&source.touched);
+    }
+}
+
+/// Grows every column of `columns` to at least `len` accounts.
+fn reserve_columns(columns: &mut [Vec<Amount>], len: usize) {
+    for column in columns {
+        if column.len() < len {
+            column.resize(len, Amount::ZERO);
+        }
+    }
+}
+
+/// One account kind's non-zero balances, in `(account, asset)` order.
+fn entries<'a, F>(
+    columns: &'a [Vec<Amount>],
+    account: F,
+) -> impl Iterator<Item = (AccountRef, AssetId, Amount)> + 'a
+where
+    F: Fn(usize) -> AccountRef + Copy + 'a,
+{
+    let accounts = columns.iter().map(Vec::len).max().unwrap_or(0);
+    (0..accounts).flat_map(move |i| {
+        columns.iter().enumerate().filter_map(move |(a, column)| match column.get(i) {
+            Some(amount) if !amount.is_zero() => Some((account(i), AssetId(a as u32), *amount)),
+            _ => None,
+        })
+    })
 }
 
 impl Ledger {
@@ -109,47 +163,40 @@ impl Ledger {
         Self::default()
     }
 
-    fn row(&self, account: AccountRef) -> Option<&Vec<Amount>> {
+    /// The column table of `account`'s kind, and the account's index in
+    /// each of its columns.
+    fn columns(&self, account: AccountRef) -> (&[Vec<Amount>], usize) {
         match account {
-            AccountRef::Party(PartyId(p)) => self.parties.get(p as usize),
-            AccountRef::Contract(ContractId(c)) => self.contracts.get(c as usize),
+            AccountRef::Party(PartyId(p)) => (&self.parties, p as usize),
+            AccountRef::Contract(ContractId(c)) => (&self.contracts, c as usize),
         }
     }
 
-    /// Returns the balance slot for `(account, asset)`, growing the dense
-    /// tables as needed. Ids are assigned sequentially by the world, so the
-    /// tables stay as small as the live id ranges.
+    /// Returns the balance slot for `(account, asset)`, growing the columns
+    /// as needed. Ids are assigned sequentially by the world, so the
+    /// columns stay as small as the live id ranges.
     fn slot_mut(&mut self, account: AccountRef, asset: AssetId) -> &mut Amount {
-        let row = match account {
-            AccountRef::Party(PartyId(p)) => {
-                let idx = p as usize;
-                if idx >= self.parties.len() {
-                    self.parties.resize_with(idx + 1, Vec::new);
-                }
-                &mut self.parties[idx]
-            }
-            AccountRef::Contract(ContractId(c)) => {
-                let idx = c as usize;
-                if idx >= self.contracts.len() {
-                    self.contracts.resize_with(idx + 1, Vec::new);
-                }
-                &mut self.contracts[idx]
-            }
-        };
         let a = asset.0 as usize;
-        if a >= row.len() {
-            row.resize(a + 1, Amount::ZERO);
-        }
         if a >= self.touched.len() {
             self.touched.resize(a + 1, false);
         }
         self.touched[a] = true;
-        &mut row[a]
+        let (columns, idx) = match account {
+            AccountRef::Party(PartyId(p)) => (&mut self.parties, p as usize),
+            AccountRef::Contract(ContractId(c)) => (&mut self.contracts, c as usize),
+        };
+        if a >= columns.len() {
+            columns.resize_with(a + 1, Vec::new);
+        }
+        let column = &mut columns[a];
+        if idx >= column.len() {
+            column.resize(idx + 1, Amount::ZERO);
+        }
+        &mut column[idx]
     }
 
-    /// Pre-allocates dense storage for `parties` party accounts, `contracts`
-    /// contract accounts and `assets` assets, each with a fully materialised
-    /// balance row.
+    /// Pre-allocates zeroed balance slots for `parties` party accounts and
+    /// `contracts` contract accounts in each of `assets` assets.
     ///
     /// Market-scale workloads populate ledgers with 100k–1M+ accounts before
     /// running; reserving up front turns that population into straight-line
@@ -157,17 +204,14 @@ impl Ledger {
     /// Balances are untouched (new slots are zero), so this is safe to call
     /// on a live ledger.
     pub fn reserve(&mut self, parties: usize, contracts: usize, assets: usize) {
-        if self.parties.len() < parties {
-            self.parties.resize_with(parties, Vec::new);
+        if self.parties.len() < assets {
+            self.parties.resize_with(assets, Vec::new);
         }
-        if self.contracts.len() < contracts {
-            self.contracts.resize_with(contracts, Vec::new);
+        if self.contracts.len() < assets {
+            self.contracts.resize_with(assets, Vec::new);
         }
-        for row in self.parties.iter_mut().chain(self.contracts.iter_mut()) {
-            if row.len() < assets {
-                row.resize(assets, Amount::ZERO);
-            }
-        }
+        reserve_columns(&mut self.parties, parties);
+        reserve_columns(&mut self.contracts, contracts);
         if self.touched.len() < assets {
             self.touched.resize(assets, false);
         }
@@ -175,7 +219,12 @@ impl Ledger {
 
     /// Returns the balance of `account` in `asset` (zero if absent).
     pub fn balance(&self, account: AccountRef, asset: AssetId) -> Amount {
-        self.row(account).and_then(|row| row.get(asset.0 as usize)).copied().unwrap_or(Amount::ZERO)
+        let (columns, idx) = self.columns(account);
+        columns
+            .get(asset.0 as usize)
+            .and_then(|column| column.get(idx))
+            .copied()
+            .unwrap_or(Amount::ZERO)
     }
 
     /// Creates `amount` new units of `asset` in `account`.
@@ -220,30 +269,29 @@ impl Ledger {
         Ok(())
     }
 
-    /// Returns the total supply of `asset` across all accounts.
+    /// Returns the total supply of `asset` across all accounts: the sum of
+    /// its party column and its contract column.
     pub fn total_supply(&self, asset: AssetId) -> Amount {
         let a = asset.0 as usize;
-        self.parties.iter().chain(self.contracts.iter()).filter_map(|row| row.get(a)).copied().sum()
+        [&self.parties, &self.contracts]
+            .into_iter()
+            .filter_map(|columns| columns.get(a))
+            .flat_map(|column| column.iter().copied())
+            .sum()
     }
 
     /// Iterates over all `(account, asset, balance)` entries with non-zero
     /// balances, in `(account, asset)` order (parties before contracts, as
     /// in [`AccountRef`]'s derived ordering).
     pub fn iter(&self) -> impl Iterator<Item = (AccountRef, AssetId, Amount)> + '_ {
-        let parties = self.parties.iter().enumerate().flat_map(|(p, row)| {
-            let account = AccountRef::Party(PartyId(p as u32));
-            row.iter().enumerate().map(move |(a, amount)| (account, AssetId(a as u32), *amount))
-        });
-        let contracts = self.contracts.iter().enumerate().flat_map(|(c, row)| {
-            let account = AccountRef::Contract(ContractId(c as u64));
-            row.iter().enumerate().map(move |(a, amount)| (account, AssetId(a as u32), *amount))
-        });
-        parties.chain(contracts).filter(|(_, _, amount)| !amount.is_zero())
+        let parties = entries(&self.parties, |p| AccountRef::Party(PartyId(p as u32)));
+        let contracts = entries(&self.contracts, |c| AccountRef::Contract(ContractId(c as u64)));
+        parties.chain(contracts)
     }
 
     /// Returns all assets that have ever appeared in the ledger, ascending.
     ///
-    /// Derived from the dense asset dimension in `O(assets)` rather than by
+    /// Derived from the asset dimension in `O(assets)` rather than by
     /// collecting, sorting and deduplicating every `(account, asset)` entry.
     pub fn assets(&self) -> Vec<AssetId> {
         self.touched
@@ -257,11 +305,8 @@ impl Ledger {
     /// Forgets every balance while retaining allocated storage, so that a
     /// pooled world can replay a fresh scenario without re-allocating.
     pub fn clear(&mut self) {
-        for row in &mut self.parties {
-            row.clear();
-        }
-        for row in &mut self.contracts {
-            row.clear();
+        for column in self.parties.iter_mut().chain(self.contracts.iter_mut()) {
+            column.clear();
         }
         self.touched.clear();
     }

@@ -1,11 +1,13 @@
-//! Differential testing of the dense [`Ledger`] against the map-backed
+//! Differential testing of the columnar [`Ledger`] against the map-backed
 //! [`MapLedger`] oracle.
 //!
-//! The dense ledger replaced the original `BTreeMap<(AccountRef, AssetId),
-//! Amount>` layout on the simulator's hot path; the original implementation
-//! is retained verbatim as `MapLedger` precisely so these properties can pin
-//! that the two agree on arbitrary operation sequences — balances, iteration
-//! order, asset lists, total supplies, and the error paths.
+//! The columnar ledger replaced the original `BTreeMap<(AccountRef,
+//! AssetId), Amount>` layout on the simulator's hot path; the original
+//! implementation is retained verbatim as `MapLedger` precisely so these
+//! properties can pin that the two agree on arbitrary operation sequences —
+//! balances, iteration order, asset lists, total supplies, and the error
+//! paths — including pre-allocation and snapshot restores onto a ledger
+//! that already holds other balances.
 
 use chainsim::{AccountRef, Amount, AssetId, ContractId, Ledger, MapLedger, PartyId};
 use proptest::prelude::*;
@@ -14,14 +16,35 @@ use proptest::{Strategy, TestRunner};
 /// One randomly generated ledger operation.
 #[derive(Clone, Debug)]
 enum Op {
-    Mint { account: AccountRef, asset: AssetId, amount: Amount },
-    Transfer { from: AccountRef, to: AccountRef, asset: AssetId, amount: Amount },
+    Mint {
+        account: AccountRef,
+        asset: AssetId,
+        amount: Amount,
+    },
+    Transfer {
+        from: AccountRef,
+        to: AccountRef,
+        asset: AssetId,
+        amount: Amount,
+    },
+    /// `Ledger::reserve`; the oracle has nothing to pre-allocate.
+    Reserve {
+        parties: usize,
+        contracts: usize,
+        assets: usize,
+    },
+    /// Saves a copy of both ledgers, as `World::snapshot` does.
+    Snapshot,
+    /// Restores the last saved copy with `clone_from` onto the live,
+    /// already-used ledger, as `World::restore` does.
+    Restore,
 }
 
 /// Draws a short sequence of operations over a deliberately small id space
 /// (6 parties, 6 contracts, 5 assets, amounts 0..40) so that accounts
 /// collide, transfers overdraw, and zero-value transfers occur — the full
-/// behaviour surface of both implementations.
+/// behaviour surface of both implementations. One draw in eight is a
+/// reservation, a snapshot or a restore.
 struct OpsStrategy {
     max_len: u64,
 }
@@ -44,7 +67,17 @@ impl Strategy for OpsStrategy {
                 let kind = runner.next_u64();
                 let asset = AssetId((runner.next_u64() % 5) as u32);
                 let amount = Amount::new(u128::from(runner.next_u64() % 40));
-                if kind.is_multiple_of(3) {
+                if kind % 8 == 7 {
+                    match runner.next_u64() % 3 {
+                        0 => Op::Reserve {
+                            parties: (runner.next_u64() % 9) as usize,
+                            contracts: (runner.next_u64() % 9) as usize,
+                            assets: (runner.next_u64() % 7) as usize,
+                        },
+                        1 => Op::Snapshot,
+                        _ => Op::Restore,
+                    }
+                } else if kind.is_multiple_of(3) {
                     Op::Mint { account: account(runner.next_u64()), asset, amount }
                 } else {
                     Op::Transfer {
@@ -59,96 +92,112 @@ impl Strategy for OpsStrategy {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+/// The live ledgers plus the last snapshot of each.
+struct Pair {
+    columnar: Ledger,
+    map: MapLedger,
+    saved: Option<(Ledger, MapLedger)>,
+}
 
-    /// Applying any operation sequence leaves the dense ledger and the map
-    /// oracle in observably identical states, and every intermediate
-    /// result (including the insufficient-funds and zero-transfer error
-    /// paths) matches exactly.
-    #[test]
-    fn dense_ledger_matches_the_map_oracle(ops in OpsStrategy { max_len: 60 }) {
-        let mut dense = Ledger::new();
-        let mut map = MapLedger::new();
-        for op in &ops {
-            match op {
-                Op::Mint { account, asset, amount } => {
-                    dense.mint(*account, *asset, *amount);
-                    map.mint(*account, *asset, *amount);
-                }
-                Op::Transfer { from, to, asset, amount } => {
-                    let d = dense.transfer(*from, *to, *asset, *amount);
-                    let m = map.transfer(*from, *to, *asset, *amount);
-                    match (&d, &m) {
-                        (Ok(()), Ok(())) => {}
-                        (Err(de), Err(me)) => prop_assert_eq!(
-                            de.clone(),
-                            me.clone(),
-                            "errors diverged for {:?}",
-                            op
-                        ),
-                        _ => prop_assert!(false, "results diverged: dense={:?}, map={:?}", d, m),
-                    }
-                }
+impl Pair {
+    fn new() -> Self {
+        Pair { columnar: Ledger::new(), map: MapLedger::new(), saved: None }
+    }
+
+    /// Applies `op` to both ledgers, asserting identical results.
+    fn apply(&mut self, op: &Op) {
+        match op {
+            Op::Mint { account, asset, amount } => {
+                self.columnar.mint(*account, *asset, *amount);
+                self.map.mint(*account, *asset, *amount);
             }
-
-            // Observable state agrees after every single operation.
-            let dense_entries: Vec<_> = dense.iter().collect();
-            let map_entries: Vec<_> = map.iter().collect();
-            prop_assert_eq!(&dense_entries, &map_entries, "iteration diverged");
-            prop_assert_eq!(dense.assets(), map.assets(), "asset lists diverged");
-        }
-
-        // Full cross-product of balances and supplies at the end.
-        for p in 0..8u32 {
-            for a in 0..6u32 {
-                let party = AccountRef::Party(PartyId(p));
-                let contract = AccountRef::Contract(ContractId(u64::from(p)));
-                prop_assert_eq!(dense.balance(party, AssetId(a)), map.balance(party, AssetId(a)));
-                prop_assert_eq!(
-                    dense.balance(contract, AssetId(a)),
-                    map.balance(contract, AssetId(a))
-                );
-                prop_assert_eq!(dense.total_supply(AssetId(a)), map.total_supply(AssetId(a)));
+            Op::Transfer { from, to, asset, amount } => {
+                let c = self.columnar.transfer(*from, *to, *asset, *amount);
+                let m = self.map.transfer(*from, *to, *asset, *amount);
+                assert_eq!(c, m, "results diverged for {op:?}");
+            }
+            Op::Reserve { parties, contracts, assets } => {
+                self.columnar.reserve(*parties, *contracts, *assets);
+            }
+            Op::Snapshot => self.saved = Some((self.columnar.clone(), self.map.clone())),
+            Op::Restore => {
+                if let Some((columnar, map)) = &self.saved {
+                    self.columnar.clone_from(columnar);
+                    self.map = map.clone();
+                }
             }
         }
     }
 
-    /// `clear` returns the dense ledger to a state indistinguishable from a
-    /// fresh one, so pooled worlds cannot leak state between scenarios.
-    #[test]
-    fn cleared_dense_ledger_behaves_like_fresh(ops in OpsStrategy { max_len: 40 }) {
-        let mut dense = Ledger::new();
-        for op in &ops {
-            match op {
-                Op::Mint { account, asset, amount } => dense.mint(*account, *asset, *amount),
-                Op::Transfer { from, to, asset, amount } => {
-                    let _ = dense.transfer(*from, *to, *asset, *amount);
+    /// Asserts that both ledgers are observably identical: entries in
+    /// iteration order, asset lists, every balance and every total supply
+    /// over (and just past) the drawn id space.
+    fn assert_agree(&self, op: &Op) {
+        let columnar: Vec<_> = self.columnar.iter().collect();
+        let map: Vec<_> = self.map.iter().collect();
+        assert_eq!(columnar, map, "iteration diverged after {op:?}");
+        assert_eq!(self.columnar.assets(), self.map.assets(), "asset lists diverged after {op:?}");
+        for a in 0..8u32 {
+            let asset = AssetId(a);
+            for id in 0..10u32 {
+                for account in [
+                    AccountRef::Party(PartyId(id)),
+                    AccountRef::Contract(ContractId(u64::from(id))),
+                ] {
+                    assert_eq!(
+                        self.columnar.balance(account, asset),
+                        self.map.balance(account, asset),
+                        "balance of {account} in {asset:?} diverged after {op:?}"
+                    );
                 }
             }
+            assert_eq!(
+                self.columnar.total_supply(asset),
+                self.map.total_supply(asset),
+                "supply of {asset:?} diverged after {op:?}"
+            );
         }
-        dense.clear();
-        prop_assert_eq!(dense.iter().count(), 0);
-        prop_assert!(dense.assets().is_empty());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Applying any operation sequence leaves the columnar ledger and the
+    /// map oracle in observably identical states after every single
+    /// operation, and every intermediate result (including the
+    /// insufficient-funds and zero-transfer error paths) matches exactly.
+    /// Reservations are invisible, and a snapshot restored with
+    /// `clone_from` onto a ledger that has since moved on is exactly the
+    /// snapshot.
+    #[test]
+    fn dense_ledger_matches_the_map_oracle(ops in OpsStrategy { max_len: 60 }) {
+        let mut pair = Pair::new();
+        for op in &ops {
+            pair.apply(op);
+            pair.assert_agree(op);
+        }
+    }
+
+    /// `clear` returns the columnar ledger to a state indistinguishable
+    /// from a fresh one, so pooled worlds cannot leak state between
+    /// scenarios.
+    #[test]
+    fn cleared_dense_ledger_behaves_like_fresh(ops in OpsStrategy { max_len: 40 }) {
+        let mut pair = Pair::new();
+        for op in &ops {
+            pair.apply(op);
+        }
+        pair.columnar.clear();
+        prop_assert_eq!(pair.columnar.iter().count(), 0);
+        prop_assert!(pair.columnar.assets().is_empty());
 
         // Replay the same sequence against the cleared ledger and a fresh
         // oracle: they must agree exactly.
-        let mut map = MapLedger::new();
+        let mut replay = Pair { columnar: pair.columnar, ..Pair::new() };
         for op in &ops {
-            match op {
-                Op::Mint { account, asset, amount } => {
-                    dense.mint(*account, *asset, *amount);
-                    map.mint(*account, *asset, *amount);
-                }
-                Op::Transfer { from, to, asset, amount } => {
-                    let d = dense.transfer(*from, *to, *asset, *amount);
-                    let m = map.transfer(*from, *to, *asset, *amount);
-                    prop_assert_eq!(d.is_ok(), m.is_ok());
-                }
-            }
+            replay.apply(op);
+            replay.assert_agree(op);
         }
-        let dense_entries: Vec<_> = dense.iter().collect();
-        let map_entries: Vec<_> = map.iter().collect();
-        prop_assert_eq!(dense_entries, map_entries);
     }
 }

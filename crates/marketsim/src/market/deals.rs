@@ -22,6 +22,7 @@ use contracts::{
 use cryptosim::Secret;
 use protocols::market::{AccountPool, HedgedSwapSchedule, HedgedSwapSpec};
 
+use super::driver::on_workers;
 use super::shard::{MarketCall, MarketMsg, NATIVE_ASSET, TOKEN_ASSET};
 use super::{MarketConfig, SplitMix64};
 use crate::PricePath;
@@ -193,28 +194,45 @@ impl Deal {
 /// Generates the full deal list for `cfg`, sizing amounts from the shared
 /// price path (one sample per driver round). Deal `i` starts in round
 /// `i / deals_per_round`.
+///
+/// Each deal is a pure function of `(seed, id)`, so contiguous id ranges
+/// are built on `cfg.workers` threads and concatenated in id order: the
+/// list is identical for every worker count.
 pub fn generate(cfg: &MarketConfig, path: &PricePath) -> Vec<Deal> {
     let pool = AccountPool::new(0, cfg.accounts);
-    (0..cfg.deals)
-        .map(|id| {
-            let mut rng = SplitMix64::new(
-                cfg.seed ^ (u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_add(1),
-            );
-            let start_round = id / cfg.deals_per_round.max(1);
-            let price = path.at_strict(start_round as usize);
-            let unit = (price.max(1.0)) as u128;
-            let roll = rng.below(100);
-            if roll < 40 {
-                build_hedged(id, start_round, unit, cfg, &pool, &mut rng)
-            } else if roll < 60 {
-                build_cycle3(id, start_round, unit, cfg, &pool, &mut rng)
-            } else if roll < 80 {
-                build_auction(id, start_round, unit, cfg, &pool, &mut rng)
-            } else {
-                build_brokered(id, start_round, unit, cfg, &pool, &mut rng)
-            }
-        })
-        .collect()
+    let ids: Vec<u32> = (0..cfg.deals).collect();
+    on_workers(ids, cfg.workers as usize, |id| {
+        let mut rng = SplitMix64::new(
+            cfg.seed ^ (u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_add(1),
+        );
+        let start_round = id / cfg.deals_per_round.max(1);
+        let price = path.at_strict(start_round as usize);
+        let unit = (price.max(1.0)) as u128;
+        let roll = rng.below(100);
+        if roll < 40 {
+            build_hedged(id, start_round, unit, cfg, &pool, &mut rng)
+        } else if roll < 60 {
+            build_cycle3(id, start_round, unit, cfg, &pool, &mut rng)
+        } else if roll < 80 {
+            build_auction(id, start_round, unit, cfg, &pool, &mut rng)
+        } else {
+            build_brokered(id, start_round, unit, cfg, &pool, &mut rng)
+        }
+    })
+}
+
+/// How many contracts each of `shards` shards will publish: the number of
+/// `Publish` actions targeting it across every deal's plan. A shard's
+/// contract ids are assigned sequentially from zero, so this is exactly the
+/// contract ledger capacity it needs.
+pub fn publishes_per_shard(deals: &[Deal], shards: u32) -> Vec<usize> {
+    let mut counts = vec![0; shards as usize];
+    for action in deals.iter().flat_map(|deal| &deal.actions) {
+        if matches!(action.msg, MarketMsg::Publish { .. }) {
+            counts[action.target as usize] += 1;
+        }
+    }
+    counts
 }
 
 /// Splits the generated deals into per-home-shard queues (id order within a
@@ -713,6 +731,38 @@ mod tests {
             assert!(da.home < cfg.shards);
             assert_eq!(da.start_round, da.id / cfg.deals_per_round);
         }
+    }
+
+    #[test]
+    fn generation_does_not_depend_on_the_worker_count() {
+        // 48 deals divide evenly over 2, 3 and 8 workers; 50 do not over 3 or 8.
+        for deals in [48, 50] {
+            let cfg = MarketConfig { deals, ..small_cfg() };
+            let path = path_for(&cfg);
+            let base = format!("{:?}", generate(&cfg, &path));
+            for workers in [2, 3, 8] {
+                let got = generate(&MarketConfig { workers, ..cfg.clone() }, &path);
+                assert_eq!(format!("{got:?}"), base, "deals={deals} workers={workers} diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn publish_counts_match_the_verified_legs() {
+        let cfg = small_cfg();
+        let deals = generate(&cfg, &path_for(&cfg));
+        let mut expected = vec![0; cfg.shards as usize];
+        for deal in &deals {
+            let legs = match &deal.expected {
+                Expected::Hedged { legs, .. } => legs.to_vec(),
+                Expected::Ring { legs } => legs.clone(),
+                Expected::Auction { coin, ticket, .. } => vec![*coin, *ticket],
+            };
+            for leg in legs {
+                expected[leg.shard as usize] += 1;
+            }
+        }
+        assert_eq!(publishes_per_shard(&deals, cfg.shards), expected);
     }
 
     #[test]

@@ -9,6 +9,12 @@
 //! number — never of worker scheduling. That is the whole determinism
 //! argument: reports are byte-identical across worker counts by
 //! construction, and the determinism suite checks it.
+//!
+//! The same fan-out ([`on_workers`]) runs deal generation and the other
+//! per-shard phases: building and endowing the shards, metering them, and
+//! dropping them. Deal verification stays on the driver thread: it reads
+//! contracts on several shards at once, and a [`Shard`] is not `Sync`
+//! because its contracts are `Box<dyn Contract>`, which is only `Send`.
 
 // staticcheck: allow-file(SC301) — the driver times its own phases
 // (wall-clock throughput numbers in the market report); timing feeds the
@@ -37,7 +43,8 @@ const MAX_REPORTED_VIOLATIONS: usize = 8;
 pub struct MarketRun {
     /// The canonical settlement report.
     pub report: MarketReport,
-    /// Time spent building shards and minting endowments.
+    /// Time spent before the first round: the price path, deal generation,
+    /// shard builds and endowment minting.
     pub setup: Duration,
     /// Time spent executing rounds (the throughput denominator).
     pub execute: Duration,
@@ -46,12 +53,21 @@ pub struct MarketRun {
 impl MarketRun {
     /// Settled deals per second of round execution.
     pub fn settled_per_sec(&self) -> f64 {
-        let secs = self.execute.as_secs_f64();
-        if secs > 0.0 {
-            f64::from(self.report.settled) / secs
-        } else {
-            0.0
-        }
+        per_sec(self.report.settled, self.execute)
+    }
+
+    /// Settled deals per second end to end: set-up plus round execution.
+    pub fn settled_per_sec_end_to_end(&self) -> f64 {
+        per_sec(self.report.settled, self.setup + self.execute)
+    }
+}
+
+fn per_sec(count: u32, elapsed: Duration) -> f64 {
+    let secs = elapsed.as_secs_f64();
+    if secs > 0.0 {
+        f64::from(count) / secs
+    } else {
+        0.0
     }
 }
 
@@ -61,58 +77,76 @@ impl MarketRun {
 /// the returned report is byte-identical for any values of either.
 pub fn run_market(cfg: &MarketConfig) -> MarketRun {
     cfg.validate();
+    let workers = cfg.workers as usize;
+    let setup_start = Instant::now();
     let rounds = cfg.rounds();
     // One price sample per round sizes each deal from its start round; the
     // strict accessor turns a mis-computed horizon into an immediate panic.
     let path = PricePath::gbm(100.0, 0.0, 0.6, 1.0 / 365.0, rounds as usize, cfg.seed);
     let all_deals = deals::generate(cfg, &path);
-    let per_shard = deals::split_by_home(all_deals, cfg.shards);
-    // Worst case two contracts per deal land on one shard.
-    let contract_estimate = 2 * cfg.deals as usize;
-
-    let setup_start = Instant::now();
-    let mut shards: Vec<Shard> =
-        (0..cfg.shards).map(|id| Shard::new(id, cfg, contract_estimate)).collect();
-    for (shard, deals) in shards.iter_mut().zip(per_shard) {
+    let contracts = deals::publishes_per_shard(&all_deals, cfg.shards);
+    let builds: Vec<_> =
+        (0..cfg.shards).zip(deals::split_by_home(all_deals, cfg.shards)).zip(contracts).collect();
+    let mut shards = on_workers(builds, workers, |((id, deals), contracts)| {
+        let mut shard = Shard::new(id, cfg, contracts);
         shard.assign_deals(deals);
-    }
+        shard
+    });
     let setup = setup_start.elapsed();
 
     let execute_start = Instant::now();
-    let workers = cfg.workers.max(1) as usize;
     for round in 0..rounds {
-        run_on_workers(&mut shards, workers, |shard| shard.run_round(round));
+        on_workers(shards.iter_mut().collect(), workers, |shard| shard.run_round(round));
         deliver_batches(&mut shards);
     }
     let execute = execute_start.elapsed();
 
-    MarketRun { report: build_report(cfg, rounds, &shards), setup, execute }
+    let meterings = on_workers(shards.iter_mut().collect(), workers, |shard| {
+        metering::meter_shard(shard, cfg.endowment, cfg.gas_price)
+    });
+    let report = build_report(cfg, rounds, &shards, &meterings);
+    on_workers(shards, workers, drop);
+    MarketRun { report, setup, execute }
 }
 
-/// Runs `f` once per shard, fanned out over at most `workers` scoped
-/// threads owning disjoint chunks. One worker runs inline on the caller's
-/// thread path to keep the sequential baseline allocation-free.
-fn run_on_workers<F>(shards: &mut [Shard], workers: usize, f: F)
+/// Maps `f` over `items` on at most `workers` scoped threads, each owning
+/// one contiguous chunk (sizes differ by at most one), and returns the
+/// results in item order. The caller's thread runs the first chunk itself,
+/// so a single worker spawns no thread at all.
+///
+/// Every per-shard phase of a run goes through here (build, rounds,
+/// metering, teardown), and so does deal generation. Results never depend
+/// on `workers`: each item is mapped independently and the chunks are
+/// concatenated in order.
+pub(super) fn on_workers<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
 where
-    F: Fn(&mut Shard) + Sync,
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
 {
-    let workers = workers.clamp(1, shards.len().max(1));
+    let len = items.len();
+    let workers = workers.clamp(1, len.max(1));
     if workers == 1 {
-        for shard in shards.iter_mut() {
-            f(shard);
-        }
-        return;
+        return items.into_iter().map(f).collect();
     }
-    let chunk = shards.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for slice in shards.chunks_mut(chunk) {
-            scope.spawn(|| {
-                for shard in slice {
-                    f(shard);
-                }
-            });
-        }
+    let mut items = items.into_iter();
+    let mut chunks = (0..workers).map(|w| {
+        let size = len / workers + usize::from(w < len % workers);
+        items.by_ref().take(size).collect::<Vec<T>>()
     });
+    let first = chunks.next().unwrap_or_default();
+    let f = &f;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = chunks
+            .map(|chunk| scope.spawn(move || chunk.into_iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        let mut out = Vec::with_capacity(len);
+        out.extend(first.into_iter().map(f));
+        for handle in handles {
+            out.extend(handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        out
+    })
 }
 
 /// The round barrier: moves every outbox message into its target inbox.
@@ -262,7 +296,12 @@ fn verify_deal(shards: &[Shard], deal: &Deal) -> Result<(), String> {
     }
 }
 
-fn build_report(cfg: &MarketConfig, rounds: u32, shards: &[Shard]) -> MarketReport {
+fn build_report(
+    cfg: &MarketConfig,
+    rounds: u32,
+    shards: &[Shard],
+    meterings: &[ShardMetering],
+) -> MarketReport {
     let mut settled = 0u32;
     let mut settled_by_kind = SettledByKind::default();
     let mut settled_per_shard = vec![0u32; shards.len()];
@@ -298,9 +337,7 @@ fn build_report(cfg: &MarketConfig, rounds: u32, shards: &[Shard]) -> MarketRepo
         }
     }
 
-    let meterings: Vec<ShardMetering> =
-        shards.iter().map(|s| metering::meter_shard(s, cfg.endowment, cfg.gas_price)).collect();
-    for (shard, m) in shards.iter().zip(&meterings) {
+    for (shard, m) in shards.iter().zip(meterings) {
         for violation in metering::conservation_violations(m, shard.minted_per_asset()) {
             record(violation, &mut violations, &mut violation_details);
         }
@@ -339,7 +376,7 @@ fn build_report(cfg: &MarketConfig, rounds: u32, shards: &[Shard]) -> MarketRepo
         reorg_redelivery_failures: reorg_stats.iter().map(|r| r.redelivery_failures).sum(),
         shard_summaries: shards
             .iter()
-            .zip(&meterings)
+            .zip(meterings)
             .map(|(shard, m)| ShardSummary {
                 shard: shard.id(),
                 deals_home: shard.deals().len() as u32,
@@ -371,6 +408,17 @@ mod tests {
             workers: 1,
             trace: TraceMode::Off,
             ..MarketConfig::default()
+        }
+    }
+
+    #[test]
+    fn on_workers_keeps_item_order_for_any_worker_count() {
+        for len in [0usize, 1, 5, 8, 13] {
+            let expected: Vec<usize> = (0..len).map(|i| i * i).collect();
+            for workers in [0, 1, 2, 3, 8, 20] {
+                let got = on_workers((0..len).collect(), workers, |i| i * i);
+                assert_eq!(got, expected, "len={len} workers={workers}");
+            }
         }
     }
 

@@ -18,7 +18,8 @@
 //!   walk-aways), three-party HTLC cycles, hedged auctions (§9) and
 //!   brokered sales, each compiled at spawn into a per-round action plan.
 //! * [`driver`] — the round loop: fork-join workers over disjoint shard
-//!   chunks, then a single-threaded batch merge.
+//!   chunks, then a single-threaded batch merge. Deal generation, shard
+//!   build, metering and teardown fan out over the same workers.
 //! * [`metering`] — gas → fees → payoffs: per-shard gas totals folded into
 //!   fee-adjusted conservation checks.
 //! * [`report`] — the canonical settlement report: settled-deals count,
@@ -60,7 +61,8 @@ pub struct MarketConfig {
     /// The synchrony bound Δ in blocks; one driver round advances every
     /// shard by Δ.
     pub delta_blocks: u64,
-    /// Worker threads executing shard rounds. Must not change the report.
+    /// Worker threads for deal generation and the per-shard phases: shard
+    /// build, rounds, metering and teardown. Must not change the report.
     pub workers: u32,
     /// Event tracing mode of the shard worlds. Must not change the report.
     pub trace: TraceMode,
@@ -82,8 +84,8 @@ pub struct MarketConfig {
     #[serde(default)]
     pub reorg_interval: u32,
     /// Finality-window depth of every shard chain, and the depth of each
-    /// injected reorg (0 = instant finality, required when
-    /// `reorg_interval` is 0-free). Depth 1 rewinds and replays only the
+    /// injected reorg (0 = instant finality; must be non-zero when
+    /// `reorg_interval` is non-zero). Depth 1 rewinds and replays only the
     /// open round — observationally identical settlement with non-zero
     /// reorg counters; deeper reorgs re-deliver earlier rounds' calls up to
     /// `depth − 1` rounds late.

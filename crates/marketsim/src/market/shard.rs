@@ -125,7 +125,8 @@ pub struct Shard {
 impl Shard {
     /// Builds shard `id`: one chain, the shared token, and every pooled
     /// account endowed with both assets. `contract_estimate` pre-allocates
-    /// ledger rows for the contracts the run is expected to publish.
+    /// ledger slots for the contracts the run is expected to publish; the
+    /// driver passes the exact count from the deal plans.
     pub fn new(id: u32, cfg: &MarketConfig, contract_estimate: usize) -> Self {
         let mut world = World::with_trace(cfg.delta_blocks, cfg.trace);
         let chain = world.add_chain(format!("shard-{id}"));

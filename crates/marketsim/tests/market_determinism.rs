@@ -39,7 +39,8 @@ fn report_is_byte_identical_across_workers_and_trace_modes() {
 
     let base_canonical = base.canonical_string();
     let base_digest = base.digest();
-    for workers in [1u32, 2, 4] {
+    // 3 workers split the 4 shards unevenly (2, 1, 1); 8 are clamped to 4.
+    for workers in [1u32, 2, 3, 4, 8] {
         for trace in [TraceMode::Off, TraceMode::Full] {
             let run = run_market(&MarketConfig { workers, trace, ..cfg() });
             assert_eq!(run.report, base, "report diverged at workers={workers} trace={trace:?}");

@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// A contiguous slice of the shared party-id space from which deal instances
 /// draw their participants.
 ///
-/// Party ids are dense (they index ledger rows), so a pool is just a base id
+/// Party ids are dense (they index ledger columns), so a pool is just a base id
 /// plus a length; drawing is O(participants) with rejection-free distinct
 /// sampling for the tiny per-deal party counts (2–6).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]

@@ -5,8 +5,9 @@
 //! hard promises — zero violations (every deal reaches its hedged-theorem
 //! terminal state, funds conserve fee-adjusted on every shard) and a
 //! byte-identical settlement report across worker counts — and writes
-//! `BENCH_market.json` with settled-deals/sec, p50/p99 settlement latency
-//! in rounds, and gas-per-deal.
+//! `BENCH_market.json` with settled-deals/sec (over round execution and
+//! end to end, set-up included), p50/p99 settlement latency in rounds, and
+//! gas-per-deal.
 //!
 //! ```text
 //! cargo run --release --example bench_market
@@ -58,7 +59,7 @@ fn main() {
         "{} shards x {} accounts, {} deals ({} per round), delta={} blocks",
         cfg.shards, cfg.accounts, cfg.deals, cfg.deals_per_round, cfg.delta_blocks
     );
-    println!("workers | settled | deals/sec | setup s | execute s");
+    println!("workers | settled | deals/sec | end-to-end deals/sec | setup s | execute s");
 
     // One untimed warm-up run: the first market pays the allocator's and
     // page cache's cold-start costs, which would otherwise be billed
@@ -76,9 +77,10 @@ fn main() {
         );
         assert_eq!(run.report.settled, cfg.deals, "workers={workers}: not every deal settled");
         println!(
-            "{workers} | {} | {:.0} | {:.3} | {:.3}",
+            "{workers} | {} | {:.0} | {:.0} | {:.3} | {:.3}",
             run.report.settled,
             run.settled_per_sec(),
+            run.settled_per_sec_end_to_end(),
             run.setup.as_secs_f64(),
             run.execute.as_secs_f64()
         );
@@ -183,6 +185,12 @@ fn main() {
     for (i, (workers, run)) in runs.iter().enumerate() {
         let comma = if i + 1 < runs.len() { "," } else { "" };
         let _ = writeln!(json, "    \"{workers}\": {:.0}{comma}", run.settled_per_sec());
+    }
+    json.push_str("  },\n");
+    json.push_str("  \"end_to_end_deals_per_sec\": {\n");
+    for (i, (workers, run)) in runs.iter().enumerate() {
+        let comma = if i + 1 < runs.len() { "," } else { "" };
+        let _ = writeln!(json, "    \"{workers}\": {:.0}{comma}", run.settled_per_sec_end_to_end());
     }
     json.push_str("  },\n");
     json.push_str("  \"execute_seconds\": {\n");
