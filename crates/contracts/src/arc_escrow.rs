@@ -1,7 +1,7 @@
 //! The multi-party arc escrow contract (§7, also used by the broker of §8).
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -226,7 +226,18 @@ pub enum ArcEscrowMsg {
 struct RedemptionSlot {
     state: PremiumSlotState,
     amount: Amount,
-    path: Vec<PartyId>,
+    path: Arc<[PartyId]>,
+}
+
+/// Everything the escrow knows about one leader: its hashlock, the
+/// redemption premium deposited for it and the hashkey presented for it.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+struct LeaderSlot {
+    leader: PartyId,
+    hashlock: Hashlock,
+    redemption: Option<RedemptionSlot>,
+    /// The presented hashkey; it carries the revealed secret.
+    hashkey: Option<Arc<Hashkey>>,
 }
 
 /// The escrow contract for one arc `(u, v)` of a multi-party swap.
@@ -239,15 +250,20 @@ struct RedemptionSlot {
 ///   (all redemption premiums were deposited), refunded to `u` otherwise,
 /// * one **redemption premium** per leader, deposited by `v`, refunded when
 ///   `v` presents that leader's hashkey in time and awarded to `u` otherwise.
+///
+/// The state is copy-on-write. The parameters sit behind one `Arc`, and the
+/// per-leader state (redemption slot with its path, presented hashkey) is
+/// one table behind another, kept in ascending leader order and copied on
+/// the first write after a clone. Cloning an escrow — the rollback copy
+/// every call takes, and every world snapshot or restore — therefore
+/// shares the table instead of deep-copying it, and only a call that
+/// writes leader state pays for a copy of the table.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ArcEscrow {
-    params: ArcEscrowParams,
+    params: Arc<ArcEscrowParams>,
     escrow_premium: PremiumSlotState,
-    redemption: BTreeMap<PartyId, RedemptionSlot>,
     principal: PrincipalState,
-    presented: BTreeMap<PartyId, Time>,
-    presented_hashkeys: BTreeMap<PartyId, Hashkey>,
-    revealed_secrets: BTreeMap<PartyId, Secret>,
+    leaders: Arc<Vec<LeaderSlot>>,
     escrowed_at: Option<Time>,
     settled_at: Option<Time>,
 }
@@ -255,14 +271,24 @@ pub struct ArcEscrow {
 impl ArcEscrow {
     /// Creates a new, unfunded arc escrow.
     pub fn new(params: ArcEscrowParams) -> Self {
+        let mut leaders: Vec<LeaderSlot> = params
+            .hashlocks
+            .iter()
+            .map(|&(leader, hashlock)| LeaderSlot {
+                leader,
+                hashlock,
+                redemption: None,
+                hashkey: None,
+            })
+            .collect();
+        // Stable, so a leader listed twice keeps its first hashlock.
+        leaders.sort_by_key(|slot| slot.leader);
+        leaders.dedup_by_key(|slot| slot.leader);
         ArcEscrow {
-            params,
+            params: Arc::new(params),
             escrow_premium: PremiumSlotState::NotDeposited,
-            redemption: BTreeMap::new(),
             principal: PrincipalState::NotEscrowed,
-            presented: BTreeMap::new(),
-            presented_hashkeys: BTreeMap::new(),
-            revealed_secrets: BTreeMap::new(),
+            leaders: Arc::new(leaders),
             escrowed_at: None,
             settled_at: None,
         }
@@ -280,12 +306,12 @@ impl ArcEscrow {
 
     /// The redemption premium slot for `leader`, if deposited.
     pub fn redemption_premium_state(&self, leader: PartyId) -> PremiumSlotState {
-        self.redemption.get(&leader).map(|s| s.state).unwrap_or(PremiumSlotState::NotDeposited)
+        self.redemption(leader).map(|s| s.state).unwrap_or(PremiumSlotState::NotDeposited)
     }
 
     /// The amount held (or once held) in `leader`'s redemption premium slot.
     pub fn redemption_premium_amount(&self, leader: PartyId) -> Amount {
-        self.redemption.get(&leader).map(|s| s.amount).unwrap_or(Amount::ZERO)
+        self.redemption(leader).map(|s| s.amount).unwrap_or(Amount::ZERO)
     }
 
     /// The path associated with `leader`'s redemption premium, if deposited.
@@ -294,7 +320,7 @@ impl ArcEscrow {
     /// along, so they can extend it on their own incoming arcs (the phase-2
     /// distribution rule of §7.1).
     pub fn redemption_premium_path(&self, leader: PartyId) -> Option<&[PartyId]> {
-        self.redemption.get(&leader).map(|s| s.path.as_slice())
+        self.redemption(leader).map(|s| &*s.path)
     }
 
     /// The principal's state.
@@ -304,12 +330,12 @@ impl ArcEscrow {
 
     /// Returns `true` if `leader`'s hashkey has been presented on this arc.
     pub fn hashkey_presented(&self, leader: PartyId) -> bool {
-        self.presented.contains_key(&leader)
+        self.presented_hashkey(leader).is_some()
     }
 
     /// Returns `true` once every leader's hashkey has been presented.
     pub fn all_hashkeys_presented(&self) -> bool {
-        self.params.hashlocks.iter().all(|(leader, _)| self.presented.contains_key(leader))
+        self.leaders.iter().all(|slot| slot.hashkey.is_some())
     }
 
     /// The secret revealed for `leader`, if its hashkey has been presented.
@@ -317,7 +343,7 @@ impl ArcEscrow {
     /// This is how secrets propagate: a party reads them from the public
     /// state of contracts on its outgoing arcs.
     pub fn revealed_secret(&self, leader: PartyId) -> Option<&Secret> {
-        self.revealed_secrets.get(&leader)
+        self.presented_hashkey(leader).map(Hashkey::secret)
     }
 
     /// The full hashkey presented for `leader`, if any.
@@ -326,7 +352,7 @@ impl ArcEscrow {
     /// arcs, extend the path with their own signature, and present the
     /// extension on their incoming arcs.
     pub fn presented_hashkey(&self, leader: PartyId) -> Option<&Hashkey> {
-        self.presented_hashkeys.get(&leader)
+        self.slot(leader).and_then(|slot| slot.hashkey.as_deref())
     }
 
     /// The height at which the principal was escrowed.
@@ -342,11 +368,20 @@ impl ArcEscrow {
     /// Returns `true` if the escrow premium has been *activated*: every
     /// leader's redemption premium has been deposited on this arc.
     pub fn escrow_premium_activated(&self) -> bool {
-        self.params.hashlocks.iter().all(|(leader, _)| self.redemption.contains_key(leader))
+        self.leaders.iter().all(|slot| slot.redemption.is_some())
     }
 
-    fn hashlock_for(&self, leader: PartyId) -> Option<Hashlock> {
-        self.params.hashlocks.iter().find(|(l, _)| *l == leader).map(|(_, h)| *h)
+    /// `leader`'s index in the per-leader table, if it is a leader.
+    fn slot_index(&self, leader: PartyId) -> Option<usize> {
+        self.leaders.binary_search_by_key(&leader, |slot| slot.leader).ok()
+    }
+
+    fn slot(&self, leader: PartyId) -> Option<&LeaderSlot> {
+        self.slot_index(leader).map(|i| &self.leaders[i])
+    }
+
+    fn redemption(&self, leader: PartyId) -> Option<&RedemptionSlot> {
+        self.slot(leader).and_then(|slot| slot.redemption.as_ref())
     }
 
     fn deposit_escrow_premium(&mut self, env: &mut CallEnv<'_>) -> Result<(), ContractError> {
@@ -384,10 +419,10 @@ impl ArcEscrow {
         if env.caller() != self.params.receiver {
             return Err(ContractError::Unauthorised { caller: env.caller() });
         }
-        if self.hashlock_for(leader).is_none() {
+        let Some(i) = self.slot_index(leader) else {
             return Err(ContractError::invalid_state(format!("{leader} is not a leader")));
-        }
-        if self.redemption.contains_key(&leader) {
+        };
+        if self.leaders[i].redemption.is_some() {
             return Err(ContractError::invalid_state("redemption premium already deposited"));
         }
         // The premium insures the receiver against this leader's hashkey
@@ -400,7 +435,7 @@ impl ArcEscrow {
         // `state_spec` below) so `staticcheck` can prove it rediscovers
         // the bug.
         #[cfg(not(feature = "canary-bugs"))]
-        if self.presented.contains_key(&leader) {
+        if self.leaders[i].hashkey.is_some() {
             return Err(ContractError::invalid_state("hashkey already presented"));
         }
         env.ensure_before(self.params.deadlines.redemption_path_deadline(path.len()))?;
@@ -425,10 +460,10 @@ impl ArcEscrow {
             .premium(&self.params.digraph, 1, &vertices, self.params.sender.0);
         let amount = self.params.base_premium.scaled(units);
         env.debit_caller(self.params.premium_asset, amount)?;
-        self.redemption.insert(
-            leader,
-            RedemptionSlot { state: PremiumSlotState::Held, amount, path: path.to_vec() },
-        );
+        // `make_mut` copies the table first if a clone (the call's rollback
+        // copy, a snapshot) still shares it.
+        Arc::make_mut(&mut self.leaders)[i].redemption =
+            Some(RedemptionSlot { state: PremiumSlotState::Held, amount, path: path.into() });
         Ok(())
     }
 
@@ -459,10 +494,11 @@ impl ArcEscrow {
         hashkey: &Hashkey,
     ) -> Result<(), ContractError> {
         let leader = hashkey.leader();
-        let hashlock = self
-            .hashlock_for(leader)
+        let i = self
+            .slot_index(leader)
             .ok_or_else(|| ContractError::invalid_state(format!("{leader} is not a leader")))?;
-        if self.presented.contains_key(&leader) {
+        let hashlock = self.leaders[i].hashlock;
+        if self.leaders[i].hashkey.is_some() {
             return Err(ContractError::invalid_state("hashkey already presented"));
         }
         let deadline = self.params.deadlines.hashkey_deadline(hashkey.path_len());
@@ -489,9 +525,8 @@ impl ArcEscrow {
             )?;
             env.caches().get_or_default::<VerifiedHashkeys>().0.insert(memo_key);
         }
-        self.presented.insert(leader, env.now());
-        self.presented_hashkeys.insert(leader, hashkey.clone());
-        self.revealed_secrets.insert(leader, hashkey.secret().clone());
+        let slot = &mut Arc::make_mut(&mut self.leaders)[i];
+        slot.hashkey = Some(Arc::new(hashkey.clone()));
         env.emit_note(NoteText::Party {
             prefix: "hashkey for ",
             party: leader,
@@ -499,11 +534,9 @@ impl ArcEscrow {
         });
         // Lemma 1: the receiver's redemption premium for this hashkey is
         // refunded as soon as the hashkey is presented on the arc.
-        if let Some(slot) = self.redemption.get_mut(&leader) {
-            if slot.state == PremiumSlotState::Held {
-                env.pay_out(self.params.receiver, self.params.premium_asset, slot.amount)?;
-                slot.state = PremiumSlotState::Refunded;
-            }
+        if let Some(held) = slot.redemption.as_mut().filter(|r| r.state == PremiumSlotState::Held) {
+            env.pay_out(self.params.receiver, self.params.premium_asset, held.amount)?;
+            held.state = PremiumSlotState::Refunded;
         }
         // Redeem the principal once every leader's hashkey has arrived.
         if self.principal == PrincipalState::Held && self.all_hashkeys_presented() {
@@ -545,18 +578,30 @@ impl ArcEscrow {
         }
 
         if now.has_reached(self.params.deadlines.final_deadline) {
-            // Redemption premiums for hashkeys that never arrived go to the sender.
-            for (leader, slot) in self.redemption.iter_mut() {
-                if slot.state == PremiumSlotState::Held && !self.presented.contains_key(leader) {
-                    env.pay_out(self.params.sender, self.params.premium_asset, slot.amount)?;
-                    slot.state = PremiumSlotState::PaidToCounterparty;
-                    env.emit_note(NoteText::Party {
-                        prefix: "redemption premium for ",
-                        party: *leader,
-                        suffix: " paid to sender: hashkey never presented",
-                    });
-                    acted = true;
+            // Redemption premiums for hashkeys that never arrived go to the
+            // sender, in ascending leader order. The table is copied only
+            // when a slot is actually written.
+            for i in 0..self.leaders.len() {
+                let slot = &self.leaders[i];
+                let Some(amount) = slot
+                    .redemption
+                    .as_ref()
+                    .filter(|r| r.state == PremiumSlotState::Held && slot.hashkey.is_none())
+                    .map(|r| r.amount)
+                else {
+                    continue;
+                };
+                let leader = slot.leader;
+                env.pay_out(self.params.sender, self.params.premium_asset, amount)?;
+                if let Some(r) = Arc::make_mut(&mut self.leaders)[i].redemption.as_mut() {
+                    r.state = PremiumSlotState::PaidToCounterparty;
                 }
+                env.emit_note(NoteText::Party {
+                    prefix: "redemption premium for ",
+                    party: leader,
+                    suffix: " paid to sender: hashkey never presented",
+                });
+                acted = true;
             }
             // The principal returns to the sender if it was never redeemed.
             if self.principal == PrincipalState::Held {
