@@ -102,11 +102,34 @@ fn bench_deal_state_copies(c: &mut Criterion) {
     group.finish();
 }
 
+/// The hashing every hashlocked leg pays. One-block digests go through one
+/// SHA-256 compression; a secret derivation plus its hashlock take three.
+fn bench_crypto(c: &mut Criterion) {
+    let mut group = c.benchmark_group("crypto");
+    group.throughput(Throughput::Elements(COPIES));
+    group.bench_function("sha256_one_block", |b| {
+        b.iter(|| {
+            for i in 0..COPIES {
+                black_box(cryptosim::sha256(black_box(&i.to_le_bytes())));
+            }
+        })
+    });
+    // What market deal generation pays per deal.
+    group.bench_function("secret_from_seed_hashlock", |b| {
+        b.iter(|| {
+            for seed in 0..COPIES {
+                black_box(Secret::from_seed(black_box(seed)).hashlock());
+            }
+        })
+    });
+    group.finish();
+}
+
 fn bench_chainsim(c: &mut Criterion) {
     bench::header("C9: substrate micro-benchmarks", &["benchmark", "see criterion output"]);
     c.bench_function("htlc_escrow_redeem_round_trip", |b| b.iter(escrow_redeem_round_trip));
     c.bench_function("ledger_transfers_1000", |b| b.iter(|| ledger_transfers(1000)));
 }
 
-criterion_group!(benches, bench_chainsim, bench_deal_state_copies);
+criterion_group!(benches, bench_chainsim, bench_deal_state_copies, bench_crypto);
 criterion_main!(benches);

@@ -11,10 +11,11 @@
 //! construction, and the determinism suite checks it.
 //!
 //! The same fan-out ([`on_workers`]) runs deal generation and the other
-//! per-shard phases: building and endowing the shards, metering them, and
-//! dropping them. Deal verification stays on the driver thread: it reads
-//! contracts on several shards at once, and a [`Shard`] is not `Sync`
-//! because its contracts are `Box<dyn Contract>`, which is only `Send`.
+//! per-shard phases: building and endowing the shards, and metering them.
+//! Teardown runs on the driver thread (see [`run_market`]). So does deal
+//! verification: it reads contracts on several shards at once, and a
+//! [`Shard`] is not `Sync` because its contracts are `Box<dyn Contract>`,
+//! which is only `Send`.
 
 // staticcheck: allow-file(SC301) — the driver times its own phases
 // (wall-clock throughput numbers in the market report); timing feeds the
@@ -105,7 +106,11 @@ pub fn run_market(cfg: &MarketConfig) -> MarketRun {
         metering::meter_shard(shard, cfg.endowment, cfg.gas_price)
     });
     let report = build_report(cfg, rounds, &shards, &meterings);
-    on_workers(shards, workers, drop);
+    // Teardown is serial on purpose. glibc gives each thread its own malloc
+    // arena, and a shard's deals and inbound messages were allocated on
+    // other threads, so dropping shards in parallel makes the workers queue
+    // on the same arena locks. One thread frees them faster than two.
+    drop(shards);
     MarketRun { report, setup, execute }
 }
 
@@ -114,8 +119,8 @@ pub fn run_market(cfg: &MarketConfig) -> MarketRun {
 /// results in item order. The caller's thread runs the first chunk itself,
 /// so a single worker spawns no thread at all.
 ///
-/// Every per-shard phase of a run goes through here (build, rounds,
-/// metering, teardown), and so does deal generation. Results never depend
+/// Every parallel per-shard phase of a run goes through here (build,
+/// rounds, metering), and so does deal generation. Results never depend
 /// on `workers`: each item is mapped independently and the chunks are
 /// concatenated in order.
 pub(super) fn on_workers<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>

@@ -19,7 +19,7 @@
 //!   brokered sales, each compiled at spawn into a per-round action plan.
 //! * [`driver`] — the round loop: fork-join workers over disjoint shard
 //!   chunks, then a single-threaded batch merge. Deal generation, shard
-//!   build, metering and teardown fan out over the same workers.
+//!   build and metering fan out over the same workers; teardown is serial.
 //! * [`metering`] — gas → fees → payoffs: per-shard gas totals folded into
 //!   fee-adjusted conservation checks.
 //! * [`report`] — the canonical settlement report: settled-deals count,
@@ -62,7 +62,7 @@ pub struct MarketConfig {
     /// shard by Δ.
     pub delta_blocks: u64,
     /// Worker threads for deal generation and the per-shard phases: shard
-    /// build, rounds, metering and teardown. Must not change the report.
+    /// build, rounds and metering. Must not change the report.
     pub workers: u32,
     /// Event tracing mode of the shard worlds. Must not change the report.
     pub trace: TraceMode,
